@@ -79,12 +79,15 @@ bench-baseline:
 	done
 	$(GO) run ./cmd/benchdiff -write -o $(BENCH_BASELINE) -ignore '$(BENCH_IGNORE)' bench_new_*.txt
 
-# Hostile-input and overload robustness suites (PR 8): admission control
+# Hostile-input and overload robustness suites: admission control
 # under request storms, budget sandboxing of shipped scripts (including
 # the hostile differential corpus, run on both engines), script/aspect/
-# strategy quarantine, the wire fuzz properties plus a short run of the
-# native fuzzers — including the VM/tree-walker differential fuzzer — and
-# the E15 governed-vs-ungoverned overload experiment.
+# strategy quarantine, the wire fuzz properties, the trader's depth limit
+# on megabyte-deep constraint and preference strings and its per-type
+# index differential, plus a short run of the native fuzzers — including
+# the VM/tree-walker differential fuzzer and the constraint/preference
+# fuzzers, which check Query against a reference scan — and the E15
+# governed-vs-ungoverned overload experiment.
 chaos:
 	$(GO) test -count=1 -run 'Admission|Overloaded|LegacySpill' ./internal/orb
 	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
@@ -93,4 +96,7 @@ chaos:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCompileResolve -fuzztime $(FUZZTIME) ./internal/script
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzVMDiff -fuzztime $(FUZZTIME) ./internal/script
+	$(GO) test -count=1 -run 'TooDeep|DepthLimit|IndexDifferential' ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzConstraint -fuzztime $(FUZZTIME) ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzPreference -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

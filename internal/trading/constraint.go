@@ -6,6 +6,7 @@
 package trading
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -33,6 +34,9 @@ import (
 // property evaluates as a string literal when compared against a string
 // property — this matches the paper's "LoadAvgIncreasing == no", where
 // "no" is unquoted.
+//
+// Expressions nest at most maxExprDepth deep; deeper ones fail to parse
+// with ErrTooDeep.
 type Constraint struct {
 	src  string
 	root cexpr
@@ -55,6 +59,17 @@ func (c *Constraint) references(name string) bool {
 	return ok
 }
 
+// maxExprDepth bounds the nesting of a constraint or preference
+// expression: parentheses, "not" and unary-minus chains, and the height of
+// the operator tree. Parsing and evaluation recurse once per level, and a
+// query string is remote input, so without the bound one query could
+// overflow the trader's stack, a fatal error no recover catches.
+const maxExprDepth = 1000
+
+// ErrTooDeep is returned, wrapped, for an expression that nests deeper than
+// the parser's limit.
+var ErrTooDeep = errors.New("trading: expression nesting exceeds depth limit")
+
 // ParseConstraint compiles a constraint expression. An empty source
 // compiles to a constraint matching every offer.
 func ParseConstraint(src string) (*Constraint, error) {
@@ -68,7 +83,7 @@ func ParseConstraint(src string) (*Constraint, error) {
 	}
 	p.skipSpace()
 	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", src, p.pos)
+		return nil, fmt.Errorf("trading: constraint %q: trailing input at %d", clip(src), p.pos)
 	}
 	refs := make(map[string]struct{})
 	collectRefs(root, refs)
@@ -145,7 +160,10 @@ func (e existExpr) eval(lookup PropLookup) (wire.Value, error) {
 	return wire.Bool(ok), nil
 }
 
-type notExpr struct{ e cexpr }
+type notExpr struct {
+	e cexpr
+	h int // tree height
+}
 
 func (e notExpr) eval(lookup PropLookup) (wire.Value, error) {
 	v, err := e.e.eval(lookup)
@@ -155,7 +173,10 @@ func (e notExpr) eval(lookup PropLookup) (wire.Value, error) {
 	return wire.Bool(!v.Truthy()), nil
 }
 
-type negExpr struct{ e cexpr }
+type negExpr struct {
+	e cexpr
+	h int // tree height
+}
 
 func (e negExpr) eval(lookup PropLookup) (wire.Value, error) {
 	v, err := e.e.eval(lookup)
@@ -172,6 +193,21 @@ func (e negExpr) eval(lookup PropLookup) (wire.Value, error) {
 type binCExpr struct {
 	op       string
 	lhs, rhs cexpr
+	h        int // tree height
+}
+
+// height is the height of an expression tree; leaves are 1.
+func height(e cexpr) int {
+	switch x := e.(type) {
+	case notExpr:
+		return x.h
+	case negExpr:
+		return x.h
+	case binCExpr:
+		return x.h
+	default:
+		return 1
+	}
 }
 
 func (e binCExpr) eval(lookup PropLookup) (wire.Value, error) {
@@ -306,12 +342,54 @@ func compareValues(a, b wire.Value) (int, error) {
 // ---- parser ----
 
 type cparser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // open parentheses, "not"s and unary minuses around pos
 }
 
 func (p *cparser) errf(format string, args ...any) error {
-	return fmt.Errorf("trading: constraint %q at %d: %s", p.src, p.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("trading: constraint %q at %d: %s", clip(p.src), p.pos, fmt.Sprintf(format, args...))
+}
+
+// clip shortens a source for an error message, so a megabyte of hostile
+// input does not travel back in the error.
+func clip(src string) string {
+	const limit = 80
+	if len(src) <= limit {
+		return src
+	}
+	return src[:limit] + "..."
+}
+
+// nested runs parse one nesting level deeper, failing with ErrTooDeep past
+// maxExprDepth before the recursion can exhaust the stack.
+func (p *cparser) nested(parse func() (cexpr, error)) (cexpr, error) {
+	if p.depth >= maxExprDepth {
+		return nil, p.tooDeep()
+	}
+	p.depth++
+	e, err := parse()
+	p.depth--
+	return e, err
+}
+
+// node checks a new composite node of tree height h against maxExprDepth:
+// evaluation recurses once per level, and left-associative chains such as
+// "1+1+1+..." grow the tree without any parser recursion.
+func (p *cparser) node(e cexpr, h int) (cexpr, error) {
+	if h > maxExprDepth {
+		return nil, p.tooDeep()
+	}
+	return e, nil
+}
+
+func (p *cparser) tooDeep() error {
+	return fmt.Errorf("trading: constraint %q at %d: %w", clip(p.src), p.pos, ErrTooDeep)
+}
+
+func (p *cparser) bin(op string, lhs, rhs cexpr) (cexpr, error) {
+	h := max(height(lhs), height(rhs)) + 1
+	return p.node(binCExpr{op: op, lhs: lhs, rhs: rhs, h: h}, h)
 }
 
 func (p *cparser) skipSpace() {
@@ -376,7 +454,9 @@ func (p *cparser) parseOr() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: "or", lhs: lhs, rhs: rhs}
+		if lhs, err = p.bin("or", lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 	return lhs, nil
 }
@@ -391,18 +471,21 @@ func (p *cparser) parseAnd() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: "and", lhs: lhs, rhs: rhs}
+		if lhs, err = p.bin("and", lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 	return lhs, nil
 }
 
 func (p *cparser) parseNot() (cexpr, error) {
 	if p.acceptWord("not") {
-		e, err := p.parseNot()
+		e, err := p.nested(p.parseNot)
 		if err != nil {
 			return nil, err
 		}
-		return notExpr{e}, nil
+		h := height(e) + 1
+		return p.node(notExpr{e: e, h: h}, h)
 	}
 	return p.parseCmp()
 }
@@ -417,7 +500,7 @@ func (p *cparser) parseCmp() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binCExpr{op: op, lhs: lhs, rhs: rhs}, nil
+		return p.bin(op, lhs, rhs)
 	}
 	return lhs, nil
 }
@@ -436,7 +519,9 @@ func (p *cparser) parseSum() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: op, lhs: lhs, rhs: rhs}
+		if lhs, err = p.bin(op, lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -454,7 +539,9 @@ func (p *cparser) parseProd() (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = binCExpr{op: op, lhs: lhs, rhs: rhs}
+		if lhs, err = p.bin(op, lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -462,11 +549,12 @@ func (p *cparser) parseUnary() (cexpr, error) {
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '-' {
 		p.pos++
-		e, err := p.parseUnary()
+		e, err := p.nested(p.parseUnary)
 		if err != nil {
 			return nil, err
 		}
-		return negExpr{e}, nil
+		h := height(e) + 1
+		return p.node(negExpr{e: e, h: h}, h)
 	}
 	if p.acceptWord("exist") {
 		name := p.takeIdent()
@@ -487,7 +575,7 @@ func (p *cparser) parsePrimary() (cexpr, error) {
 	switch {
 	case c == '(':
 		p.pos++
-		e, err := p.parseOr()
+		e, err := p.nested(p.parseOr)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package trading
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -257,5 +258,50 @@ func TestConstraintErrorMessagesNameSource(t *testing.T) {
 	_, err := ParseConstraint("x ==")
 	if err == nil || !strings.Contains(err.Error(), "x ==") {
 		t.Fatalf("parse error should quote the source: %v", err)
+	}
+}
+
+// TestParseTooDeep feeds 500k-deep expressions of every nesting form — a
+// megabyte-scale string, well inside one wire frame — to both parsers.
+// Each must fail with ErrTooDeep instead of overflowing the stack, which
+// would kill the process.
+func TestParseTooDeep(t *testing.T) {
+	const n = 500000
+	forms := map[string]string{
+		"parentheses":  strings.Repeat("(", n) + "x" + strings.Repeat(")", n),
+		"not chain":    strings.Repeat("not ", n) + "x",
+		"minus chain":  strings.Repeat("-", n) + "1",
+		"binary chain": "1" + strings.Repeat("+1", n),
+		"and chain":    "x" + strings.Repeat(" and x", n),
+	}
+	for name, src := range forms {
+		if _, err := ParseConstraint(src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("constraint %s: err = %.200v, want ErrTooDeep", name, err)
+		} else if len(err.Error()) > 200 {
+			t.Errorf("constraint %s: error carries %d bytes of source", name, len(err.Error()))
+		}
+		if _, err := ParsePreference("min " + src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("preference %s: err = %.200v, want ErrTooDeep", name, err)
+		}
+	}
+}
+
+// TestParseDepthLimitBoundary pins the limit itself: expressions at
+// maxExprDepth parse and evaluate, one level more does not parse.
+func TestParseDepthLimitBoundary(t *testing.T) {
+	lookup := func(string) (wire.Value, bool) { return wire.Number(1), true }
+	for name, mk := range map[string]func(d int) string{
+		"parentheses":  func(d int) string { return strings.Repeat("(", d) + "x == 1" + strings.Repeat(")", d) },
+		"binary chain": func(d int) string { return "1" + strings.Repeat("+1", d-1) },
+	} {
+		c, err := ParseConstraint(mk(maxExprDepth))
+		if err != nil {
+			t.Errorf("%s at the limit: %v", name, err)
+		} else if ok, err := c.Eval(lookup); err != nil || !ok {
+			t.Errorf("%s at the limit: Eval = %v, %v", name, ok, err)
+		}
+		if _, err := ParseConstraint(mk(maxExprDepth + 1)); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s past the limit: err = %.200v, want ErrTooDeep", name, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package trading
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,13 +34,17 @@ import (
 const DefaultQuarantineThreshold = 3
 
 // offerRecord is the trader's bookkeeping around one exported Offer:
-// the lease deadline and the quarantine counters. All fields are guarded
-// by Trader.mu; the embedded offer's fields other than Props are immutable
-// after export.
+// the names of its dynamic properties, the lease deadline and the
+// quarantine counters. All fields are guarded by Trader.mu; the embedded
+// offer's fields other than Props are immutable after export, and dyn is
+// replaced together with Props. The offer is held by value and fails is
+// an int32 to keep a record to one 128-byte allocation; a trader holds
+// thousands of them.
 type offerRecord struct {
-	offer       *Offer
+	offer       Offer
+	dyn         []string  // sorted names of the dynamic properties in offer.Props
 	expires     time.Time // lease deadline; zero = no lease
-	fails       int       // consecutive queries with failed resolutions
+	fails       int32     // consecutive queries with failed resolutions
 	quarantined bool
 }
 
@@ -133,11 +138,17 @@ func (t *Trader) Reap() int {
 	defer t.mu.Unlock()
 	now := t.clk.Now()
 	n := 0
-	for id, rec := range t.offers {
-		if rec.expired(now) {
-			delete(t.offers, id)
+	// One pass over each type's slice both filters the index in place and
+	// drops the records from offers, so mass expiry stays linear.
+	for st, recs := range t.byType {
+		t.byType[st] = slices.DeleteFunc(recs, func(rec *offerRecord) bool {
+			if !rec.expired(now) {
+				return false
+			}
+			delete(t.offers, rec.offer.ID)
 			n++
-		}
+			return true
+		})
 	}
 	if tm := t.tm.Load(); tm != nil && n > 0 {
 		tm.reaped.Add(uint64(n))
@@ -237,7 +248,7 @@ func (t *Trader) noteResolveOutcomes(ctx context.Context, candidates []offerView
 			rec.quarantined = false
 		case resolveSomeFailed:
 			rec.fails++
-			if rec.fails >= threshold && !rec.quarantined {
+			if int(rec.fails) >= threshold && !rec.quarantined {
 				rec.quarantined = true
 				if tm != nil {
 					tm.quarantined.Inc()

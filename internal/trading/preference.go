@@ -1,9 +1,10 @@
 package trading
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"autoadapt/internal/wire"
@@ -19,8 +20,9 @@ import (
 //	max <expr>       — descending by the expression's numeric value
 //	with <expr>      — offers satisfying expr sort before those that do not
 //
-// Offers for which the preference expression cannot be evaluated sort last
-// (OMG semantics), rather than being dropped: the paper's fallback query
+// Offers for which the preference expression cannot be evaluated (for
+// min and max: does not yield a number, NaN included) sort last (OMG
+// semantics), rather than being dropped: the paper's fallback query
 // "specifies only offer sorting, and no filtering" and must still see every
 // offer.
 type Preference struct {
@@ -59,7 +61,7 @@ func ParsePreference(src string) (*Preference, error) {
 	case strings.HasPrefix(s, "with "):
 		kind, rest = prefWith, s[5:]
 	default:
-		return nil, fmt.Errorf("trading: malformed preference %q", src)
+		return nil, fmt.Errorf("trading: malformed preference %q", clip(src))
 	}
 	p := &cparser{src: rest}
 	e, err := p.parseOr()
@@ -68,7 +70,7 @@ func ParsePreference(src string) (*Preference, error) {
 	}
 	p.skipSpace()
 	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("trading: preference %q: trailing input", src)
+		return nil, fmt.Errorf("trading: preference %q: trailing input", clip(src))
 	}
 	refs := make(map[string]struct{})
 	collectRefs(e, refs)
@@ -89,79 +91,105 @@ func (p *Preference) references(name string) bool {
 	return ok
 }
 
-// Sort orders results in place.
+// Sort orders results in place. It is rank over the results' snapshots.
 func (p *Preference) Sort(results []QueryResult) error {
+	items := make([]prefItem, len(results))
+	for i := range items {
+		items[i].idx = i
+	}
+	err := p.rank(items,
+		func(i int) string { return results[i].Offer.ID },
+		func(i int) PropLookup {
+			snap := results[i].Snapshot
+			return func(name string) (wire.Value, bool) {
+				v, ok := snap[name]
+				return v, ok
+			}
+		})
+	if err != nil {
+		return err
+	}
+	sorted := make([]QueryResult, len(results))
+	for k, it := range items {
+		sorted[k] = results[it.idx]
+	}
+	copy(results, sorted)
+	return nil
+}
+
+// prefItem is one item being ranked: idx names it to the caller, and ok
+// and num are its sort key (unevaluable items have ok=false).
+type prefItem struct {
+	idx int
+	ok  bool
+	num float64
+}
+
+// rank stably orders items by the preference. For an item index i (an
+// items[k].idx), id(i) is the item's offer ID and lookup(i) reads its
+// properties. It is the one key-extraction and sort routine: Query ranks
+// its matched candidates with it, and Sort ranks a result slice.
+func (p *Preference) rank(items []prefItem, id func(int) string, lookup func(int) PropLookup) error {
 	switch p.kind {
 	case prefFirst:
 		return nil
 	case prefRandom:
-		sort.SliceStable(results, func(i, j int) bool {
-			return offerHash(results[i].Offer.ID) < offerHash(results[j].Offer.ID)
-		})
-		return nil
+		for k := range items {
+			items[k].ok, items[k].num = true, float64(offerHash(id(items[k].idx)))
+		}
 	case prefMin, prefMax, prefWith:
-		type keyed struct {
-			ok  bool
-			num float64
+		for k := range items {
+			items[k].ok, items[k].num = p.key(lookup(items[k].idx))
 		}
-		keys := make([]keyed, len(results))
-		for i := range results {
-			snap := results[i].Snapshot
-			v, err := p.expr.eval(func(name string) (wire.Value, bool) {
-				val, ok := snap[name]
-				return val, ok
-			})
-			if err != nil {
-				keys[i] = keyed{ok: false}
-				continue
-			}
-			switch p.kind {
-			case prefWith:
-				if v.Truthy() {
-					keys[i] = keyed{ok: true, num: 0}
-				} else {
-					keys[i] = keyed{ok: true, num: 1}
-				}
-			default:
-				n, isNum := v.AsNumber()
-				if !isNum {
-					keys[i] = keyed{ok: false}
-					continue
-				}
-				if p.kind == prefMax {
-					n = -n
-				}
-				keys[i] = keyed{ok: true, num: n}
-			}
-		}
-		// Index sort keeps the keys array aligned with results.
-		idx := make([]int, len(results))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := keys[idx[a]], keys[idx[b]]
-			if ka.ok != kb.ok {
-				return ka.ok // evaluable offers first
-			}
-			if !ka.ok {
-				return false
-			}
-			return ka.num < kb.num
-		})
-		out := make([]QueryResult, len(results))
-		for i, j := range idx {
-			out[i] = results[j]
-		}
-		copy(results, out)
-		return nil
 	default:
 		return fmt.Errorf("trading: unknown preference kind %d", p.kind)
 	}
+	slices.SortStableFunc(items, func(a, b prefItem) int {
+		switch {
+		case a.ok != b.ok:
+			if a.ok {
+				return -1 // evaluable offers first
+			}
+			return 1
+		case !a.ok:
+			return 0
+		default:
+			return cmp.Compare(a.num, b.num)
+		}
+	})
+	return nil
 }
 
+// key evaluates a min, max or with preference for one offer. ok=false
+// means the offer cannot be ranked: the expression failed, or min/max got
+// a non-number or NaN.
+func (p *Preference) key(lookup PropLookup) (ok bool, num float64) {
+	v, err := p.expr.eval(lookup)
+	if err != nil {
+		return false, 0
+	}
+	if p.kind == prefWith {
+		if v.Truthy() {
+			return true, 0
+		}
+		return true, 1
+	}
+	n, isNum := v.AsNumber()
+	if !isNum || math.IsNaN(n) {
+		return false, 0
+	}
+	if p.kind == prefMax {
+		n = -n
+	}
+	return true, n
+}
+
+// offerHash is FNV-1a over the offer ID, the "random" preference's key.
 func offerHash(id string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return h.Sum32()
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h ^= uint32(id[i])
+		h *= 16777619
+	}
+	return h
 }

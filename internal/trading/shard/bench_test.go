@@ -10,16 +10,15 @@ import (
 )
 
 // Experiment E14: sharded trader query throughput vs the single trader,
-// at 10k offers. The single trader scans its whole offer map under one
-// RWMutex on every query; four shards each scan a quarter of the offers
-// behind independent locks, so the target is ≥3× the single trader's
-// parallel query throughput. See EXPERIMENTS.md E14 and BENCH_7.json.
+// at 10k offers. Sharding was built when every query scanned the whole
+// offer map under one RWMutex; since the trader indexes offers by service
+// type, a query reads only its own type's offers on either side, and the
+// comparison measures what the routing layer and split locks still buy.
+// See EXPERIMENTS.md E14 and DESIGN.md "Sharded trading".
 
 // 10k offers spread over 200 service types — the trader as the whole
 // system's rendezvous point, not one service's. Each query's own result
-// work (50 candidates) is small; the dominant cost is the full offer-map
-// scan every query pays under the single trader's lock, which is exactly
-// what partitioning removes.
+// work is 50 candidates of its type.
 const (
 	benchOffers = 10000
 	benchTypes  = 200
@@ -83,22 +82,22 @@ func benchQueries(b *testing.B, dir trading.Directory) {
 	})
 }
 
-// BenchmarkE14SingleTraderQuery10k is the "before": every query scans all
-// 10k offers under one trader's lock.
+// BenchmarkE14SingleTraderQuery10k queries all 10k offers behind one
+// trader's lock.
 func BenchmarkE14SingleTraderQuery10k(b *testing.B) {
 	tr := trading.NewTrader(nil)
 	populateDirect(b, tr)
 	benchQueries(b, trading.Local{T: tr})
 }
 
-// BenchmarkE14Sharded4Query10k is the "after": the same population
+// BenchmarkE14Sharded4Query10k is the same population
 // partitioned across 4 shards behind the routing client.
 func BenchmarkE14Sharded4Query10k(b *testing.B) {
 	benchQueries(b, newBenchRouter(b, 4))
 }
 
 // BenchmarkE14Sharded1Query10k isolates the router's own overhead: one
-// shard, so the scan cost matches the single trader and any delta is the
+// shard, so the query cost matches the single trader and any delta is the
 // routing layer.
 func BenchmarkE14Sharded1Query10k(b *testing.B) {
 	benchQueries(b, newBenchRouter(b, 1))

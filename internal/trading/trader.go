@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -98,6 +99,10 @@ type Trader struct {
 	mu     sync.RWMutex
 	types  map[string]ServiceType
 	offers map[string]*offerRecord
+	// byType indexes every record in offers by service type, each slice in
+	// export order, so a query touches only the offers of its own type and
+	// needs no sort to recover the deterministic base order.
+	byType map[string][]*offerRecord
 	nextID int
 
 	// Liveness knobs (see lease.go). clk stamps leases and drives the
@@ -160,6 +165,7 @@ func NewTrader(resolver DynamicResolver) *Trader {
 		resolveParallel: defaultResolveParallel,
 		types:           make(map[string]ServiceType),
 		offers:          make(map[string]*offerRecord),
+		byType:          make(map[string][]*offerRecord),
 		clk:             clock.Real{},
 		quarThreshold:   DefaultQuarantineThreshold,
 	}
@@ -232,16 +238,30 @@ func (t *Trader) Export(serviceType string, ref wire.ObjRef, props map[string]Pr
 	t.nextID++
 	t.statExports.Add(1)
 	id := "offer-" + strconv.Itoa(t.nextID)
-	copied := make(map[string]PropValue, len(props))
-	for k, v := range props {
-		copied[k] = v
-	}
-	rec := &offerRecord{offer: &Offer{ID: id, ServiceType: serviceType, Ref: ref, Props: copied}}
+	copied, dyn := copyProps(props)
+	rec := &offerRecord{offer: Offer{ID: id, ServiceType: serviceType, Ref: ref, Props: copied}, dyn: dyn}
 	if t.leaseTTL > 0 {
 		rec.expires = t.clk.Now().Add(t.leaseTTL)
 	}
 	t.offers[id] = rec
+	t.byType[serviceType] = append(t.byType[serviceType], rec)
 	return id, nil
+}
+
+// copyProps returns a private copy of props plus the sorted names of its
+// dynamic properties (nil when every property is static), so queries over
+// static offers never walk the property map looking for monitors.
+func copyProps(props map[string]PropValue) (map[string]PropValue, []string) {
+	copied := make(map[string]PropValue, len(props))
+	var dyn []string
+	for k, v := range props {
+		copied[k] = v
+		if v.IsDynamic() {
+			dyn = append(dyn, k)
+		}
+	}
+	sort.Strings(dyn)
+	return copied, dyn
 }
 
 // Withdraw removes an offer. It is lease-aware: withdrawing an offer whose
@@ -255,6 +275,9 @@ func (t *Trader) Withdraw(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownOffer, id)
 	}
 	delete(t.offers, id)
+	recs := t.byType[rec.offer.ServiceType]
+	i := slices.Index(recs, rec)
+	t.byType[rec.offer.ServiceType] = slices.Delete(recs, i, i+1)
 	if tm := t.tm.Load(); tm != nil {
 		tm.withdrawals.Inc()
 	}
@@ -278,11 +301,7 @@ func (t *Trader) Modify(id string, props map[string]PropValue) error {
 	if rec.expired(t.clk.Now()) {
 		return fmt.Errorf("%w: %q (lease expired)", ErrUnknownOffer, id)
 	}
-	copied := make(map[string]PropValue, len(props))
-	for k, v := range props {
-		copied[k] = v
-	}
-	rec.offer.Props = copied
+	rec.offer.Props, rec.dyn = copyProps(props)
 	return nil
 }
 
@@ -315,13 +334,16 @@ func (t *Trader) OfferCount() int {
 // properties resolved as *probes*, so a recovered monitor rehabilitates
 // its offer and the next query sees it again.
 //
-// Snapshots are demand-driven: static properties are always included, but
-// dynamic properties are resolved only when the constraint or preference
-// references them by name. Identical monitor calls — same object, same
-// aspect — are resolved once per query and the value shared, and distinct
-// resolutions fan out across a bounded worker pool (SetResolveParallel).
-// Memoization is per-query only, so repeated queries still observe fresh
-// monitor values.
+// Candidates come from the per-type index, so a query costs time in the
+// offers of its own type only. Dynamic properties are demand-driven: they
+// are resolved only when the constraint or preference references them by
+// name. Identical monitor calls — same object, same aspect — are resolved
+// once per query and the value shared, and distinct resolutions fan out
+// across a bounded worker pool (SetResolveParallel). Memoization is
+// per-query only, so repeated queries still observe fresh monitor values.
+// The constraint and preference read each candidate's properties in place;
+// snapshot maps (static properties plus the resolved dynamic ones) are
+// built only for the offers returned.
 func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference string, maxResults int) ([]QueryResult, error) {
 	began := time.Now()
 	t.statQueries.Add(1)
@@ -359,32 +381,25 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 	}
 	workers := t.resolveParallel
 	resolveTimeout := t.resolveTimeout
-	// Capture each candidate's Props map pointer while holding the lock.
-	// Export and Modify install a fresh map and never mutate a published
-	// one, and an offer's other fields are immutable after export, so the
-	// captured pair stays consistent after the lock is released even if a
-	// concurrent Modify swaps in replacement properties.
-	candidates := sc.candidates[:0]
+	// Capture each candidate's Props map and dynamic-name list while
+	// holding the lock. Export and Modify install fresh ones and never
+	// mutate a published one, and an offer's other fields are immutable
+	// after export, so the captured view stays consistent after the lock
+	// is released even if a concurrent Modify swaps in replacement
+	// properties. The index slice is in export order, the deterministic
+	// base order preferences start from.
+	recs := t.byType[serviceType]
+	// Scratch slices are sized once from known bounds, so a pool miss
+	// costs one allocation per slice rather than a chain of regrowths.
+	candidates := slices.Grow(sc.candidates[:0], len(recs))
 	now := t.clk.Now()
-	for _, rec := range t.offers {
-		o := rec.offer
-		if o.ServiceType == serviceType && !rec.expired(now) {
-			candidates = append(candidates, offerView{o: o, props: o.Props, quarantined: rec.quarantined})
+	for _, rec := range recs {
+		if !rec.expired(now) {
+			candidates = append(candidates, offerView{o: &rec.offer, props: rec.offer.Props, dyn: rec.dyn, quarantined: rec.quarantined})
 		}
 	}
 	t.mu.RUnlock()
 	sc.candidates = candidates
-	// Deterministic base order (offer export order) before preferences.
-	// Sort a permutation rather than the candidates themselves: swapping
-	// indices is cheaper, and the sequence numbers are parsed once instead
-	// of on every comparison.
-	order, seqs := sc.order[:0], sc.seqs[:0]
-	for i := range candidates {
-		order = append(order, i)
-		seqs = append(seqs, offerSeq(candidates[i].o.ID))
-	}
-	sc.order, sc.seqs = order, seqs
-	sort.Slice(order, func(i, j int) bool { return seqs[order[i]] < seqs[order[j]] })
 
 	resolveCtx := ctx
 	if resolveTimeout > 0 {
@@ -392,76 +407,115 @@ func (t *Trader) Query(ctx context.Context, serviceType, constraint, preference 
 		resolveCtx, cancel = context.WithTimeout(ctx, resolveTimeout)
 		defer cancel()
 	}
-	snaps := t.snapshotAll(resolveCtx, candidates, cons, pref, workers, sc)
+	results := t.resolveReferenced(resolveCtx, candidates, cons, pref, workers, sc)
 	t.noteResolveOutcomes(ctx, candidates, sc.outcomes)
-	matched := make([]QueryResult, 0, len(candidates))
-	for _, ci := range order {
-		if candidates[ci].quarantined {
+	pend := sc.pend
+	// One lookup serves every candidate: cur selects whose properties it
+	// reads, so evaluation allocates nothing per candidate.
+	var cur *offerView
+	lookup := func(name string) (wire.Value, bool) { return cur.lookup(name, pend, results) }
+	items := slices.Grow(sc.items[:0], len(candidates))
+	for i := range candidates {
+		cur = &candidates[i]
+		if cur.quarantined {
 			continue // probed above, but untrusted until rehabilitated
 		}
-		snap := snaps[ci]
-		lookup := func(name string) (wire.Value, bool) {
-			v, ok := snap[name]
-			return v, ok
+		if ok, err := cons.Eval(lookup); err == nil && ok {
+			items = append(items, prefItem{idx: i})
 		}
-		ok, err := cons.Eval(lookup)
-		if err != nil || !ok {
-			continue
-		}
-		c := candidates[ci]
-		matched = append(matched, QueryResult{
+	}
+	sc.items = items
+	if err := pref.rank(items,
+		func(i int) string { return candidates[i].o.ID },
+		func(i int) PropLookup { cur = &candidates[i]; return lookup }); err != nil {
+		return nil, err
+	}
+	if maxResults > 0 && len(items) > maxResults {
+		items = items[:maxResults]
+	}
+	matched := make([]QueryResult, len(items))
+	for k, it := range items {
+		c := &candidates[it.idx]
+		matched[k] = QueryResult{
 			Offer: Offer{
 				ID:          c.o.ID,
 				ServiceType: c.o.ServiceType,
 				Ref:         c.o.Ref,
 				Props:       c.props,
 			},
-			Snapshot: snap,
-		})
-	}
-	if err := pref.Sort(matched); err != nil {
-		return nil, err
-	}
-	if maxResults > 0 && len(matched) > maxResults {
-		matched = matched[:maxResults]
+			Snapshot: c.snapshot(pend, results),
+		}
 	}
 	return matched, nil
 }
 
-func offerSeq(id string) int {
-	n, _ := strconv.Atoi(id[len("offer-"):])
-	return n
+// offerView pairs an offer with the Props map and dynamic-property names
+// captured under the trader lock, pinning a consistent property set for
+// the rest of the query. quarantined marks offers resolved only as probes,
+// never matched. pend[pendLo:pendHi] are the offer's resolutions in
+// queryScratch.pend.
+type offerView struct {
+	o              *Offer
+	props          map[string]PropValue
+	dyn            []string
+	quarantined    bool
+	pendLo, pendHi int
 }
 
-// offerView pairs an offer with the Props map captured under the trader
-// lock, pinning a consistent property set for the rest of the query.
-// quarantined marks offers resolved only as probes, never matched.
-type offerView struct {
-	o           *Offer
-	props       map[string]PropValue
-	quarantined bool
+// lookup reads one property of the offer: static values from its props,
+// dynamic ones from this query's resolutions. A dynamic property that was
+// not resolved, or failed to resolve, is missing.
+func (c *offerView) lookup(name string, pend []pendingProp, results []resolveResult) (wire.Value, bool) {
+	pv, ok := c.props[name]
+	if !ok {
+		return wire.Nil(), false
+	}
+	if !pv.IsDynamic() {
+		return pv.Static, true
+	}
+	for _, p := range pend[c.pendLo:c.pendHi] {
+		if p.name == name {
+			r := results[p.task]
+			return r.v, r.err == nil
+		}
+	}
+	return wire.Nil(), false
+}
+
+// snapshot builds the offer's property snapshot for a QueryResult: every
+// static property plus each dynamic one this query resolved.
+func (c *offerView) snapshot(pend []pendingProp, results []resolveResult) map[string]wire.Value {
+	snap := make(map[string]wire.Value, len(c.props))
+	for name, pv := range c.props {
+		if !pv.IsDynamic() {
+			snap[name] = pv.Static
+		}
+	}
+	for _, p := range pend[c.pendLo:c.pendHi] {
+		if r := results[p.task]; r.err == nil {
+			snap[p.name] = r.v
+		}
+	}
+	return snap
 }
 
 // pendingProp records that one offer property awaits one task's result.
 type pendingProp struct {
-	offer int // index into offers/snaps
-	name  string
-	task  int // index into tasks
+	name string
+	task int // index into tasks
 }
 
 // queryScratch is the recyclable working set of one query. Queries churn
-// through several short-lived slices (candidate views, sort permutations,
+// through several short-lived slices (candidate views, preference keys,
 // resolve tasks and results); pooling them keeps steady-state allocation
-// roughly proportional to the result set instead of the offer database.
+// proportional to the result set instead of the offer database.
 // Snapshot maps are NOT pooled — they escape into QueryResults.
 type queryScratch struct {
 	candidates []offerView
-	order      []int
-	seqs       []int
+	items      []prefItem
 	tasks      []resolveTask
 	pend       []pendingProp
 	results    []resolveResult
-	snaps      []map[string]wire.Value
 	outcomes   []resolveOutcome
 	ti         taskIndex
 }
@@ -492,13 +546,12 @@ func putQueryScratch(sc *queryScratch) {
 	if cap(sc.candidates) > maxScratchEntries || cap(sc.pend) > maxScratchEntries {
 		return // oversized: let the GC reclaim the whole scratch
 	}
-	// Drop references so a pooled scratch does not pin offers, snapshot
-	// maps, or resolved values between queries.
+	// Drop references so a pooled scratch does not pin offers or resolved
+	// values between queries.
 	clear(sc.candidates[:cap(sc.candidates)])
 	clear(sc.tasks[:cap(sc.tasks)])
 	clear(sc.pend[:cap(sc.pend)])
 	clear(sc.results[:cap(sc.results)])
-	clear(sc.snaps[:cap(sc.snaps)])
 	queryScratchPool.Put(sc)
 }
 
@@ -604,42 +657,40 @@ type resolveResult struct {
 	err error
 }
 
-// snapshotAll builds one property snapshot per offer. Static properties
-// are copied directly; dynamic properties are resolved only if the
-// constraint or preference references their name, with identical monitor
-// calls deduplicated across all offers and fanned out over resolveAll.
-// Unreachable dynamic properties are simply absent from the snapshot, so
+// resolveReferenced resolves, for every candidate, the dynamic properties
+// the constraint or preference references by name, deduplicating identical
+// monitor calls across all candidates and fanning them out over
+// resolveAll. It records each candidate's resolutions as its range of
+// sc.pend and its outcome in sc.outcomes, and returns the results indexed
+// by task. Unreachable dynamic properties have a failed result, so
 // constraints referencing them fail for that offer only.
-func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Constraint, pref *Preference, workers int, sc *queryScratch) []map[string]wire.Value {
-	snaps := sc.snaps[:0]
-	outcomes := sc.outcomes[:0]
-	// The dynamic-path structures are initialized lazily so purely static
-	// queries pay nothing for them.
-	var (
-		tasks []resolveTask
-		pend  []pendingProp
-		ti    *taskIndex
-	)
+func (t *Trader) resolveReferenced(ctx context.Context, offers []offerView, cons *Constraint, pref *Preference, workers int, sc *queryScratch) []resolveResult {
+	tasks, pend, outcomes := sc.tasks[:0], sc.pend[:0], slices.Grow(sc.outcomes[:0], len(offers))
+	// The dedup index is reset lazily so purely static queries pay nothing
+	// for it.
+	var ti *taskIndex
 	for i := range offers {
-		props := offers[i].props
-		snap := make(map[string]wire.Value, len(props))
-		snaps = append(snaps, snap)
+		o := &offers[i]
 		outcomes = append(outcomes, resolveNone)
-		for name, pv := range props {
-			if !pv.IsDynamic() {
-				snap[name] = pv.Static
-				continue
-			}
+		o.pendLo = len(pend)
+		for _, name := range o.dyn {
 			if t.resolver == nil || (!cons.references(name) && !pref.references(name)) {
 				continue
 			}
 			if ti == nil {
-				tasks, pend = sc.tasks[:0], sc.pend[:0]
+				// Every remaining dynamic property bounds the tasks and
+				// pending entries this query can add.
+				n := 0
+				for j := i; j < len(offers); j++ {
+					n += len(offers[j].dyn)
+				}
+				tasks, pend = slices.Grow(tasks, n), slices.Grow(pend, n)
 				ti = &sc.ti
 				// Offers in the paper's scenario carry ~2 referenced
 				// dynamic props each (a monitor value plus an aspect).
 				ti.reset(2 * len(offers))
 			}
+			pv := o.props[name]
 			h := hashResolveKey(pv.Dynamic, pv.Aspect)
 			idx := ti.lookup(tasks, h, pv.Dynamic, pv.Aspect)
 			if idx < 0 {
@@ -647,14 +698,11 @@ func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Cons
 				tasks = append(tasks, resolveTask{ref: pv.Dynamic, aspect: pv.Aspect, hash: h})
 				ti.insert(tasks, idx)
 			}
-			pend = append(pend, pendingProp{offer: i, name: name, task: idx})
+			pend = append(pend, pendingProp{name: name, task: idx})
 		}
+		o.pendHi = len(pend)
 	}
-	sc.snaps = snaps
-	sc.outcomes = outcomes
-	if ti != nil {
-		sc.tasks, sc.pend = tasks, pend
-	}
+	sc.tasks, sc.pend, sc.outcomes = tasks, pend, outcomes
 	results := t.resolveAll(ctx, tasks, workers, sc)
 	if tm := t.tm.Load(); tm != nil {
 		tm.resolveTasks.Observe(int64(len(tasks)))
@@ -668,17 +716,19 @@ func (t *Trader) snapshotAll(ctx context.Context, offers []offerView, cons *Cons
 			tm.resolveErrors.Add(failed)
 		}
 	}
-	for _, p := range pend {
-		if r := results[p.task]; r.err == nil {
-			snaps[p.offer][p.name] = r.v
-			if outcomes[p.offer] == resolveNone {
-				outcomes[p.offer] = resolveAllOK
+	for i := range offers {
+		o := &offers[i]
+		for _, p := range pend[o.pendLo:o.pendHi] {
+			if results[p.task].err == nil {
+				if outcomes[i] == resolveNone {
+					outcomes[i] = resolveAllOK
+				}
+			} else {
+				outcomes[i] = resolveSomeFailed
 			}
-		} else {
-			outcomes[p.offer] = resolveSomeFailed
 		}
 	}
-	return snaps
+	return results
 }
 
 // serialResolveBudget is how long resolveAll works serially before fanning
