@@ -3,7 +3,8 @@
 GO ?= go
 
 # Every package with benchmarks: the root experiment benches (E1–E12),
-# the script-engine kernels, the ORB invocation/pipelining suites (E13),
+# the script kernels (VM, plus the test-only tree-walking reference for
+# comparison), the ORB invocation/pipelining suites (E13),
 # the sharded-trader E14 suite, the metrics hot paths, and the
 # internal/experiment macro benches (E16 SLO routing).
 BENCHPKGS = . ./internal/script ./internal/orb ./internal/trading/... ./internal/metrics ./internal/experiment
@@ -80,17 +81,21 @@ bench-baseline:
 	$(GO) run ./cmd/benchdiff -write -o $(BENCH_BASELINE) -ignore '$(BENCH_IGNORE)' bench_new_*.txt
 
 # Hostile-input and overload robustness suites: admission control
-# under request storms, budget sandboxing of shipped scripts (including
-# the hostile differential corpus, run on both engines), script/aspect/
-# strategy quarantine, the wire fuzz properties, the trader's depth limit
-# on megabyte-deep constraint and preference strings and its per-type
-# index differential, plus a short run of the native fuzzers — including
-# the VM/tree-walker differential fuzzer and the constraint/preference
-# fuzzers, which check Query against a reference scan — and the E15
-# governed-vs-ungoverned overload experiment.
+# under request storms, the frame batcher's failure handling, budget
+# sandboxing of shipped scripts (including the hostile differential
+# corpus, run on the VM and the tree-walking reference), the script
+# parser's depth limit on megabyte-deep chunks and the VM's register and
+# constant limits, script/aspect/strategy quarantine, the wire fuzz
+# properties, the trader's depth limit on megabyte-deep constraint and
+# preference strings and its per-type index differential, plus a short
+# run of the native fuzzers — including the VM/tree-walker differential
+# fuzzer, the constraint/preference fuzzers, which check Query against a
+# reference scan, and the IDL loader fuzzer, which checks a loaded
+# repository against itself — and the E15 governed-vs-ungoverned
+# overload experiment.
 chaos:
-	$(GO) test -count=1 -run 'Admission|Overloaded|LegacySpill' ./internal/orb
-	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion' ./internal/script
+	$(GO) test -count=1 -run 'Admission|Overloaded|LegacySpill|Batcher' ./internal/orb
+	$(GO) test -count=1 -run 'Budget|CallCtx|MemBudget|Differential|DeepRecursion|TooDeep|DepthLimit|Compile.*Limit' ./internal/script
 	$(GO) test -count=1 -run 'Quarantine|OrdinaryScriptErrors' ./internal/monitor ./internal/core
 	$(GO) test -count=1 -run 'Property|Decode|Frame|Truncat|Overloaded' ./internal/wire
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
@@ -99,4 +104,5 @@ chaos:
 	$(GO) test -count=1 -run 'TooDeep|DepthLimit|IndexDifferential' ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzConstraint -fuzztime $(FUZZTIME) ./internal/trading
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzPreference -fuzztime $(FUZZTIME) ./internal/trading
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzIDL -fuzztime $(FUZZTIME) ./internal/idl
 	$(GO) test -count=1 -run 'Overload|HostileQuarantine' ./internal/experiment

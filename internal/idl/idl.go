@@ -272,7 +272,7 @@ func (p *parser) skipSpace() {
 				}
 				p.pos++
 			}
-			p.pos += 2
+			p.pos = min(p.pos+2, len(p.src)) // past "*/", or at EOF if unterminated
 		default:
 			return
 		}

@@ -194,24 +194,10 @@ func TestAdmissionExpiredDeadlineShed(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	payload, err := wire.EncodeRequest(&wire.Request{
+	msg := rawCall(t, conn, &wire.Request{
 		ID: 1, ObjectKey: "svc", Operation: "work",
 		Deadline: time.Now().Add(-time.Second).UnixNano(),
-	}, false)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if err := wire.WriteFrame(conn, payload); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	reply, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	msg, err := wire.DecodeMessage(reply)
-	if err != nil {
-		t.Fatalf("decode reply: %v", err)
-	}
+	})
 	if msg.Type != wire.MsgErrorReply || msg.Rep.ErrCode != CodeDeadline {
 		t.Fatalf("reply = %s code %q, want error reply with %q", msg.Type, msg.Rep.ErrCode, CodeDeadline)
 	}

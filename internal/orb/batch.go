@@ -1,31 +1,45 @@
 package orb
 
 import (
-	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autoadapt/internal/wire"
 )
 
 // DefaultBatchBytes is the pending-byte threshold that flushes a write
-// batch early (see ClientOptions.BatchBytes).
+// batch early (see ClientOptions.BatchBytes and ServerOptions.BatchBytes).
 const DefaultBatchBytes = 32 << 10
 
-// batchWriter coalesces complete frames into one buffer and writes them
-// with a single syscall, either when the flush window elapses or when the
-// pending bytes pass the threshold. Frames are already length-prefixed, so
-// batching needs no wire-format change: the receiver's FrameReader splits
-// the coalesced write back into frames.
+// batcher coalesces complete frames bound for one connection into one
+// buffer and writes them with a single syscall, either when the flush
+// window elapses or when the pending bytes pass the threshold. Frames are
+// already length-prefixed, so batching needs no wire-format change: the
+// receiver's FrameReader splits the coalesced write back into frames.
+// Clients batch request frames (ClientOptions.BatchWindow); servers batch
+// reply and event frames (ServerOptions.BatchWindow), which saves a
+// pipelining client's server one write syscall per reply.
 //
-// Lock order: bw.mu is leaf-level for add/stop; the flush path holds
-// cc.writeMu while copying-and-swapping the buffer under bw.mu, never the
-// reverse. A write failure closes the connection *outside* both locks
-// (close stops the batch, which takes bw.mu again).
-type batchWriter struct {
-	cc     *clientConn
-	window time.Duration
-	limit  int
+// Lock order: mu is leaf-level for add/stop; the flush path holds the
+// connection's write lock while draining the buffer under mu, never the
+// reverse. A write failure is handed to fail *outside* both locks (fail
+// stops the batch, which takes mu again).
+type batcher struct {
+	writeMu *sync.Mutex   // the connection's write lock
+	conn    net.Conn      // written to by flush
+	timeout time.Duration // write deadline per flush; 0 means none
+	window  time.Duration
+	limit   int
+	// fail tears the connection down after a write error and returns the
+	// error flush reports.
+	fail func(error) error
+	// stoppedErr is the error add returns once the batch is stopped.
+	stoppedErr func() error
+	// frames and flushes are the owner's batchedFrames/batchFlushes
+	// counters.
+	frames, flushes *atomic.Uint64
 
 	mu      sync.Mutex
 	buf     []byte
@@ -33,87 +47,78 @@ type batchWriter struct {
 	stopped bool
 }
 
-func newBatchWriter(cc *clientConn, window time.Duration, limit int) *batchWriter {
-	if limit <= 0 {
-		limit = DefaultBatchBytes
-	}
-	return &batchWriter{cc: cc, window: window, limit: limit}
-}
-
 // add appends fb's frame to the batch. The frame bytes are copied (fb goes
 // back to its pool immediately after) and the flush timer is armed on the
 // first frame of a batch. Crossing the byte threshold flushes inline on
 // the caller.
-func (bw *batchWriter) add(fb *wire.FrameBuffer) error {
+func (b *batcher) add(fb *wire.FrameBuffer) error {
 	frame, err := fb.Frame()
 	if err != nil {
 		return err
 	}
-	bw.mu.Lock()
-	if bw.stopped {
-		err := bw.cc.deadError()
-		bw.mu.Unlock()
-		return err
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
+		return b.stoppedErr()
 	}
-	bw.buf = append(bw.buf, frame...)
-	bw.cc.c.stats.batchedFrames.Add(1)
-	if len(bw.buf) >= bw.limit {
-		bw.mu.Unlock()
-		return bw.flush()
+	b.buf = append(b.buf, frame...)
+	b.frames.Add(1)
+	if len(b.buf) >= b.limit {
+		b.mu.Unlock()
+		return b.flush()
 	}
-	if bw.timer == nil {
-		bw.timer = time.AfterFunc(bw.window, func() {
-			_ = bw.flush()
+	if b.timer == nil {
+		b.timer = time.AfterFunc(b.window, func() {
+			_ = b.flush()
 		})
 	}
-	bw.mu.Unlock()
+	b.mu.Unlock()
 	return nil
 }
 
 // flush takes the pending batch and writes it as one syscall under the
-// connection's write lock. Concurrent flushes serialize on writeMu;
+// connection's write lock. Concurrent flushes serialize on the write lock;
 // whichever runs first drains the buffer and the rest write nothing.
-func (bw *batchWriter) flush() error {
-	bw.cc.writeMu.Lock()
-	bw.mu.Lock()
-	buf := bw.buf
-	bw.buf = nil
-	if bw.timer != nil {
-		bw.timer.Stop()
-		bw.timer = nil
+func (b *batcher) flush() error {
+	b.writeMu.Lock()
+	b.mu.Lock()
+	buf := b.buf
+	b.buf = nil
+	if b.timer != nil {
+		b.timer.Stop()
+		b.timer = nil
 	}
-	stopped := bw.stopped
-	bw.mu.Unlock()
+	stopped := b.stopped
+	b.mu.Unlock()
 	if stopped || len(buf) == 0 {
-		bw.cc.writeMu.Unlock()
+		b.writeMu.Unlock()
 		return nil
 	}
-	if wt := bw.cc.c.writeTimeout; wt > 0 {
-		_ = bw.cc.raw.SetWriteDeadline(time.Now().Add(wt))
+	if b.timeout > 0 {
+		_ = b.conn.SetWriteDeadline(time.Now().Add(b.timeout))
 	}
-	_, err := bw.cc.raw.Write(buf)
-	if wt := bw.cc.c.writeTimeout; wt > 0 {
-		_ = bw.cc.raw.SetWriteDeadline(time.Time{})
+	_, err := b.conn.Write(buf)
+	if b.timeout > 0 {
+		_ = b.conn.SetWriteDeadline(time.Time{})
 	}
-	bw.cc.writeMu.Unlock()
+	b.writeMu.Unlock()
 	if err != nil {
-		bw.cc.close(fmt.Errorf("orb: batched write failed: %w", err))
-		return err
+		return b.fail(err)
 	}
-	bw.cc.c.stats.batchFlushes.Add(1)
+	b.flushes.Add(1)
 	return nil
 }
 
 // stop retires the batch on connection death. Pending frames are dropped —
-// their requests complete with the connection's death error through the
-// pending map, which is the same outcome an unbatched write failure has.
-func (bw *batchWriter) stop() {
-	bw.mu.Lock()
-	bw.stopped = true
-	bw.buf = nil
-	if bw.timer != nil {
-		bw.timer.Stop()
-		bw.timer = nil
+// their requesters observe the connection's death, which is the same
+// outcome an unbatched write failure has.
+func (b *batcher) stop() {
+	b.mu.Lock()
+	b.stopped = true
+	b.buf = nil
+	if b.timer != nil {
+		b.timer.Stop()
+		b.timer = nil
 	}
-	bw.mu.Unlock()
+	b.mu.Unlock()
 }

@@ -52,9 +52,15 @@ func BenchmarkE13BlockingSequentialTCP(b *testing.B) {
 // flush self-clocking off replies instead of waiting out the timer window.
 // Acceptance: >= 2x the blocking baseline's throughput.
 func BenchmarkE13PipelinedWindow64TCP(b *testing.B) {
-	const window = 64
 	ref, stop := newBenchTCP(b)
 	defer stop()
+	benchPipelinedWindow(b, ref)
+}
+
+// benchPipelinedWindow is the E13 pipelined loop against ref: a 64-deep
+// FIFO window of InvokeAsync futures on one batching client connection.
+func benchPipelinedWindow(b *testing.B, ref wire.ObjRef) {
+	const window = 64
 	client := NewClientOpts(ClientOptions{
 		Networks:    []Network{TCPNetwork{}},
 		MaxInFlight: window,

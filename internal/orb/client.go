@@ -484,7 +484,7 @@ type clientConn struct {
 	c   *Client // owner: options and stats
 
 	writeMu sync.Mutex
-	batch   *batchWriter // non-nil when write batching is enabled
+	batch   *batcher // non-nil when write batching is enabled
 
 	// window is the in-flight cap semaphore (nil = unbounded): a slot is
 	// held from send until the reply arrives, the caller abandons the
@@ -536,10 +536,26 @@ func newClientConn(raw net.Conn, c *Client) *clientConn {
 		cc.window = make(chan struct{}, c.maxInFlight)
 	}
 	if c.batchWindow > 0 {
-		cc.batch = newBatchWriter(cc, c.batchWindow, c.batchBytes)
+		cc.batch = cc.newBatch()
 	}
 	go cc.readLoop()
 	return cc
+}
+
+// newBatch returns the connection's request-frame batcher. A write failure
+// kills the connection, failing every pending call with the cause.
+func (cc *clientConn) newBatch() *batcher {
+	c := cc.c
+	return &batcher{
+		writeMu: &cc.writeMu, conn: cc.raw, timeout: c.writeTimeout,
+		window: c.batchWindow, limit: c.batchBytes,
+		frames: &c.stats.batchedFrames, flushes: &c.stats.batchFlushes,
+		stoppedErr: cc.deadError,
+		fail: func(err error) error {
+			cc.close(fmt.Errorf("orb: batched write failed: %w", err))
+			return err
+		},
+	}
 }
 
 func (cc *clientConn) isDead() bool {

@@ -442,25 +442,11 @@ func TestServerAbortsExpiredDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	payload, err := wire.EncodeRequest(&wire.Request{
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	msg := rawCall(t, raw, &wire.Request{
 		ID: 1, ObjectKey: "echo", Operation: "echo",
 		Deadline: time.Now().Add(-time.Second).UnixNano(),
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(raw, payload); err != nil {
-		t.Fatal(err)
-	}
-	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := wire.ReadFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wire.DecodeMessage(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if msg.Rep == nil || msg.Rep.ErrCode != CodeDeadline {
 		t.Fatalf("reply = %+v, want ErrCode %s", msg.Rep, CodeDeadline)
 	}
@@ -595,4 +581,28 @@ func TestRegisterReplacesServant(t *testing.T) {
 	if _, ok := srv.Lookup("ghost"); ok {
 		t.Fatal("Lookup succeeded for missing key")
 	}
+}
+
+// rawCall writes req as one raw request frame on conn, bypassing the
+// client, and decodes the reply frame.
+func rawCall(t *testing.T, conn net.Conn, req *wire.Request) *wire.Message {
+	t.Helper()
+	fb := wire.GetFrameBuffer()
+	defer wire.PutFrameBuffer(fb)
+	var err error
+	if fb.B, err = wire.AppendRequest(fb.B, req, false); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := fb.WriteFrame(conn); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	reply, err := wire.NewFrameReader(conn).Next()
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	msg, err := wire.DecodeMessage(reply)
+	if err != nil {
+		t.Fatalf("decode reply: %v", err)
+	}
+	return msg
 }

@@ -426,11 +426,11 @@ func (s *Server) admit(cw *connWriter, j connJob, reqWG *sync.WaitGroup) {
 // connWriter serializes frame writes on one server connection. Reply
 // writes and event pushes share it, so a pushed event can never interleave
 // bytes with a reply. With batching enabled (ServerOptions.BatchWindow)
-// frames detour through the connection's serverBatch instead.
+// frames detour through the connection's batcher instead.
 type connWriter struct {
 	conn  net.Conn
 	mu    sync.Mutex
-	batch *serverBatch // non-nil when reply batching is enabled
+	batch *batcher // non-nil when reply batching is enabled
 }
 
 // writeFrame writes one framed buffer under the connection write lock,
@@ -484,6 +484,28 @@ func (es *eventSink) Push(values ...wire.Value) error {
 	return nil
 }
 
+// newBatch returns cw's reply/event-frame batcher. The stream position is
+// undefined after a failed batched write, so a failure drops the
+// connection; the read loop observes the close and tears the connection
+// down, the same outcome an unbatched write failure has.
+func (s *Server) newBatch(cw *connWriter) *batcher {
+	limit := s.opts.BatchBytes
+	if limit <= 0 {
+		limit = DefaultBatchBytes
+	}
+	return &batcher{
+		writeMu: &cw.mu, conn: cw.conn, timeout: DefaultWriteTimeout,
+		window: s.opts.BatchWindow, limit: limit,
+		frames: &s.stats.batchedFrames, flushes: &s.stats.batchFlushes,
+		stoppedErr: func() error { return net.ErrClosed },
+		fail: func(err error) error {
+			cw.batch.stop()
+			_ = cw.conn.Close()
+			return fmt.Errorf("orb: batched reply write failed: %w", err)
+		},
+	}
+}
+
 // serverSub pairs a stream's sink with the servant's cancel.
 type serverSub struct {
 	sink   *eventSink
@@ -510,7 +532,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	cw := &connWriter{conn: conn}
 	if s.opts.BatchWindow > 0 {
-		cw.batch = newServerBatch(s, cw, conn, s.opts.BatchWindow, s.opts.BatchBytes)
+		cw.batch = s.newBatch(cw)
 		defer cw.batch.stop()
 	}
 	var reqWG sync.WaitGroup

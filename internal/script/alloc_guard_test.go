@@ -6,98 +6,60 @@ import "testing"
 // of internal/wire and internal/orb. The resolver/pool overhaul took the
 // tree walker's numeric-loop kernel from ~7000 allocs per run to one (the
 // return-value slice) and Fib15 from ~20700 to ~3950; the bytecode VM —
-// now the default engine, guarded under the plain names below — holds the
+// the production engine, guarded under the plain names below — holds the
 // loop at 1 alloc and takes Fib15 to ~4 (fixed-arg calls borrow the caller's
 // register window instead of allocating). The explicit *TreeWalk variants
-// keep the reference engine pinned at its own ceilings. Ceilings carry
+// keep the test-only reference pinned at its own ceilings. Ceilings carry
 // slack over the measured counts so toolchain noise does not flake them.
 
-func TestAllocGuardNumericLoop(t *testing.T) {
-	in := New(Options{})
-	fn, err := in.Compile("loop", "local s = 0 for i = 1, 1000 do s = s + i end return s")
+// allocGuard warms src on in, then fails if a call allocates more than
+// ceiling times on average.
+func allocGuard(t *testing.T, in *Interp, src string, runs int, ceiling float64) {
+	t.Helper()
+	fn, err := in.Compile("guard", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Call(fn, nil); err != nil {
 		t.Fatal(err) // warm the frame/buffer pools
 	}
-	// Measured: 1 alloc (the return-value slice).
-	if allocs := testing.AllocsPerRun(50, func() {
+	if allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := in.Call(fn, nil); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 4 {
-		t.Fatalf("NumericLoop: %.1f allocs/op, want <= 4", allocs)
+	}); allocs > ceiling {
+		t.Fatalf("%.1f allocs/op, want <= %.0f", allocs, ceiling)
 	}
 }
 
+const (
+	guardLoopSrc = "local s = 0 for i = 1, 1000 do s = s + i end return s"
+	guardFibSrc  = "local function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end return fib(15)"
+)
+
+// Measured: 1 alloc (the return-value slice) on either engine.
+func TestAllocGuardNumericLoop(t *testing.T) { allocGuard(t, New(Options{}), guardLoopSrc, 50, 4) }
+
+func TestAllocGuardNumericLoopTreeWalk(t *testing.T) {
+	allocGuard(t, newTreeInterp(Options{}), guardLoopSrc, 50, 4)
+}
+
+// Measured: ~4 allocs on the VM (one pooled frame grow + the return slice;
+// recursive script→script calls reuse register windows). The tree walker
+// needs ~3950 (two per call across 1973 calls) and the seed interpreter
+// ~20700 — fail long before either regression can sneak back.
 func TestAllocGuardFib15(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	in := New(Options{})
-	fn, err := in.Compile("fib",
-		"local function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end return fib(15)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Call(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Measured: ~4 allocs on the VM (one pooled frame grow + the return
-	// slice; recursive script→script calls reuse register windows). The
-	// tree walker needs ~3950 and the seed interpreter ~20700 — fail long
-	// before either regression can sneak back into the default engine.
-	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := in.Call(fn, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 64 {
-		t.Fatalf("Fib15: %.1f allocs/op, want <= 64", allocs)
-	}
-}
-
-func TestAllocGuardNumericLoopTreeWalk(t *testing.T) {
-	in := New(Options{Engine: EngineTreeWalk})
-	fn, err := in.Compile("loop", "local s = 0 for i = 1, 1000 do s = s + i end return s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Call(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Measured: 1 alloc (the return-value slice), same as the VM.
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := in.Call(fn, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 4 {
-		t.Fatalf("NumericLoop (treewalk): %.1f allocs/op, want <= 4", allocs)
-	}
+	allocGuard(t, New(Options{}), guardFibSrc, 5, 64)
 }
 
 func TestAllocGuardFib15TreeWalk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	in := New(Options{Engine: EngineTreeWalk})
-	fn, err := in.Compile("fib",
-		"local function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end return fib(15)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Call(fn, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Measured: ~3950 allocs (two per call across 1973 calls). The seed
-	// interpreter needed ~20700; fail well before it drifts back.
-	if allocs := testing.AllocsPerRun(5, func() {
-		if _, err := in.Call(fn, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 4500 {
-		t.Fatalf("Fib15 (treewalk): %.1f allocs/op, want <= 4500", allocs)
-	}
+	allocGuard(t, newTreeInterp(Options{}), guardFibSrc, 5, 4500)
 }
 
 // TestAllocGuardCachedEval pins the chunk-cache fast path: re-Eval of

@@ -1,7 +1,5 @@
 package script
 
-import "sync/atomic"
-
 // AST node definitions. Every node records the source line it starts on so
 // runtime errors can point at shipped code (which arrives as anonymous
 // strings and would otherwise be undebuggable).
@@ -288,10 +286,7 @@ type funcProto struct {
 	numBoxes   int // boxed (captured) locals in the frame
 	upvals     []upvalDesc
 
-	// vm caches the bytecode compiled from this proto, populated lazily on
-	// the first VM-engine call (see compile.go). Atomic because resolved
-	// protos are shared read-only across interpreters via the ChunkCache;
-	// a racing double-compile produces identical code and either store
-	// wins. The tree-walk engine never touches it.
-	vm atomic.Pointer[vmCode]
+	// vm is the bytecode compiled from this proto, set when its chunk is
+	// compiled and before the chunk is cached or shared (see compileProtos).
+	vm vmCode
 }

@@ -6,11 +6,11 @@ import "testing"
 // costs, useful when tuning the tree walker.
 
 func benchEval(b *testing.B, src string) {
-	benchEvalEngine(b, src, Options{})
+	benchEvalEngine(b, src, engineVM)
 }
 
-func benchEvalEngine(b *testing.B, src string, opts Options) {
-	in := New(opts)
+func benchEvalEngine(b *testing.B, src string, e engine) {
+	in := e.new(Options{})
 	fn, err := in.Compile("bench", src)
 	if err != nil {
 		b.Fatal(err)
@@ -45,30 +45,30 @@ func BenchmarkNumericLoop(b *testing.B) {
 }
 
 // Engine-explicit variants of the two gate kernels: the VM pair pins the
-// default engine's numbers under their own names, and the TreeWalk pair
-// keeps the reference interpreter measured so the VM's speedup factor (the
-// ROADMAP's ≥2× Fib15 bar) stays visible in every bench run.
+// production engine's numbers under their own names, and the TreeWalk pair
+// keeps the test-only reference interpreter measured so the VM's speedup
+// factor (the ROADMAP's ≥2× Fib15 bar) stays visible in every bench run.
 
 func BenchmarkFib15VM(b *testing.B) {
-	benchEvalEngine(b, fib15Src, Options{Engine: EngineVM})
+	benchEvalEngine(b, fib15Src, engineVM)
 }
 
 func BenchmarkNumericLoopVM(b *testing.B) {
-	benchEvalEngine(b, numericLoopSrc, Options{Engine: EngineVM})
+	benchEvalEngine(b, numericLoopSrc, engineVM)
 }
 
 func BenchmarkFib15TreeWalk(b *testing.B) {
-	benchEvalEngine(b, fib15Src, Options{Engine: EngineTreeWalk})
+	benchEvalEngine(b, fib15Src, engineTreeWalk)
 }
 
 func BenchmarkNumericLoopTreeWalk(b *testing.B) {
-	benchEvalEngine(b, numericLoopSrc, Options{Engine: EngineTreeWalk})
+	benchEvalEngine(b, numericLoopSrc, engineTreeWalk)
 }
 
-// BenchmarkCompileProtoFig7 measures the VM's lazy bytecode-compile cost in
-// isolation: parse+resolve once, then time compileProto on the resolved
-// proto. This is the one-time cost a ChunkCache miss pays on first call
-// under the VM engine.
+// BenchmarkCompileProtoFig7 measures the bytecode-compile cost of one proto
+// in isolation: compile the chunk once, then time compileProto on its
+// top-level proto. This is part of the one-time cost a ChunkCache miss
+// pays.
 func BenchmarkCompileProtoFig7(b *testing.B) {
 	in := New(Options{CacheSize: -1})
 	fn, err := in.Compile("fig7", benchFig7Src)
@@ -79,8 +79,8 @@ func BenchmarkCompileProtoFig7(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if compileProto(proto) == vmUnsupported {
-			b.Fatal("unsupported")
+		if _, err := compileProto(proto); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -15,12 +15,11 @@ import (
 // account kills allocation bombs the step budget alone would let run for a
 // long time (a table bomb "steps" slowly but allocates fast).
 //
-// Every test here runs against both engines: the bytecode VM executes a
-// different artifact than the tree walker, so budget enforcement has to be
-// proven on each independently — a missed opStep or uncharged allocation in
-// the VM would pass silently if only the reference engine were exercised.
-
-var bothEngines = []Engine{EngineVM, EngineTreeWalk}
+// Every test here runs against both the VM and the tree-walking reference
+// interpreter (treewalk_test.go): the VM executes a different artifact than
+// the reference, so budget enforcement has to be proven on each
+// independently — a missed opStep or uncharged allocation in the VM would
+// pass silently if only the reference were exercised.
 
 const infiniteLoopSrc = `local i = 0 while true do i = i + 1 end`
 
@@ -28,7 +27,7 @@ func TestWallBudgetSimClock(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
 			sim := clock.NewSim(time.Unix(0, 0))
-			in := New(Options{Clock: sim, WallBudget: 50 * time.Millisecond, MaxSteps: -1, Engine: eng})
+			in := eng.new(Options{Clock: sim, WallBudget: 50 * time.Millisecond, MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +70,7 @@ func TestWallBudgetFrozenClockNeverTrips(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
 			sim := clock.NewSim(time.Unix(0, 0))
-			in := New(Options{Clock: sim, WallBudget: time.Nanosecond, Engine: eng})
+			in := eng.new(Options{Clock: sim, WallBudget: time.Nanosecond})
 			vs, err := in.Eval("loop", `local s = 0 for i = 1, 100000 do s = s + i end return s`)
 			if err != nil {
 				t.Fatalf("frozen-clock run aborted: %v", err)
@@ -86,7 +85,7 @@ func TestWallBudgetFrozenClockNeverTrips(t *testing.T) {
 func TestCallCtxCancel(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MaxSteps: -1, Engine: eng})
+			in := eng.new(Options{MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -114,7 +113,7 @@ func TestCallCtxCancel(t *testing.T) {
 func TestCallCtxDeadline(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MaxSteps: -1, Engine: eng})
+			in := eng.new(Options{MaxSteps: -1})
 			fn, err := in.Compile("spin", infiniteLoopSrc)
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +144,7 @@ func TestMemBudgetBombs(t *testing.T) {
 	for _, eng := range bothEngines {
 		for _, tc := range cases {
 			t.Run(eng.String()+"/"+tc.name, func(t *testing.T) {
-				in := New(Options{MemBudget: 1 << 16, MaxSteps: -1, Engine: eng})
+				in := eng.new(Options{MemBudget: 1 << 16, MaxSteps: -1})
 				_, err := in.Eval(tc.name, tc.src)
 				if !errors.Is(err, ErrMemBudget) {
 					t.Fatalf("err = %v, want ErrMemBudget", err)
@@ -163,7 +162,7 @@ func TestMemBudgetAllowsModestWork(t *testing.T) {
 	// strategy-sized workload.
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{MemBudget: 1 << 16, Engine: eng})
+			in := eng.new(Options{MemBudget: 1 << 16})
 			vs, err := in.Eval("modest", `
 				local t = {}
 				for i = 1, 50 do t[i] = "host-" .. i end
@@ -181,7 +180,7 @@ func TestMemBudgetAllowsModestWork(t *testing.T) {
 func TestDeepRecursionBounded(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{Engine: eng})
+			in := eng.new(Options{})
 			_, err := in.Eval("deep", `local function f(n) return f(n + 1) end return f(0)`)
 			if err == nil {
 				t.Fatal("unbounded recursion did not error")
@@ -193,9 +192,8 @@ func TestDeepRecursionBounded(t *testing.T) {
 // TestBudgetedInterpsSharedCacheRace exercises concurrently budgeted
 // interpreters sharing one ChunkCache under -race: budgets are per-Interp
 // state and must not introduce sharing through the cache. Workers alternate
-// engines, so the cached proto is raced between tree-walk execution and the
-// VM's lazy bytecode compile (funcProto.vm is an atomic pointer; concurrent
-// first-call compiles must be safe and invisible).
+// engines, so the cached proto and its bytecode are read concurrently by
+// tree-walk and VM execution.
 func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 	cache := NewChunkCache(16)
 	var wg sync.WaitGroup
@@ -203,11 +201,10 @@ func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			in := New(Options{
+			in := bothEngines[w%len(bothEngines)].new(Options{
 				Cache:      cache,
 				WallBudget: time.Second,
 				MemBudget:  1 << 20,
-				Engine:     bothEngines[w%len(bothEngines)],
 			})
 			for i := 0; i < 50; i++ {
 				vs, err := in.Eval("shared", `
@@ -234,21 +231,7 @@ func TestBudgetedInterpsSharedCacheRace(t *testing.T) {
 func TestAllocGuardNumericLoopBudgeted(t *testing.T) {
 	for _, eng := range bothEngines {
 		t.Run(eng.String(), func(t *testing.T) {
-			in := New(Options{WallBudget: time.Minute, MemBudget: 1 << 30, Engine: eng})
-			fn, err := in.Compile("loop", "local s = 0 for i = 1, 1000 do s = s + i end return s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := in.Call(fn, nil); err != nil {
-				t.Fatal(err) // warm the frame/buffer pools
-			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if _, err := in.Call(fn, nil); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs > 4 {
-				t.Fatalf("budgeted NumericLoop (%s): %.1f allocs/op, want <= 4 (budgets must add 0)", eng, allocs)
-			}
+			allocGuard(t, eng.new(Options{WallBudget: time.Minute, MemBudget: 1 << 30}), guardLoopSrc, 50, 4)
 		})
 	}
 }

@@ -1,9 +1,18 @@
 package script
 
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+)
+
 // Bytecode compiler: lowers a slot-resolved funcProto to a flat register
-// instruction stream executed by vm.go. The compiler runs once per proto,
-// lazily on the first VM-engine call, and the result is cached on the proto
-// itself — so ChunkCache hits reuse compiled code across interpreters.
+// instruction stream executed by vm.go. Every proto of a chunk is compiled
+// once, when the chunk is compiled, and the result is cached on the proto
+// itself — so ChunkCache hits reuse compiled code across interpreters, and
+// a function the bytecode cannot address is a compile error, not a
+// runtime surprise.
 //
 // Register model. The resolver already assigned every unboxed local a flat
 // slot index (0..numSlots-1); those indices are used verbatim as the low
@@ -15,13 +24,14 @@ package script
 // becomes the frame's register count.
 //
 // Step/budget parity. The compiler emits an opStep at every statement entry
-// and at every loop head, exactly where the tree-walker calls frame.step —
-// so both engines charge identical step counts and trip budgets on the same
-// statement with the same source line. The differential corpus and
-// FuzzVMDiff compare error strings byte-for-byte on the strength of this.
+// and at every loop head, exactly where the tree-walking reference
+// interpreter (kept in the tests as the VM's oracle) charges a step — so
+// both charge identical step counts and trip budgets on the same statement
+// with the same source line. The differential corpus and FuzzVMDiff
+// compare error strings byte-for-byte on the strength of this.
 //
 // Evaluation-order parity. Operands evaluate left to right exactly as the
-// tree-walker does. An operand already living in a local slot is used in
+// reference does. An operand already living in a local slot is used in
 // place only when no later operand of the same instruction can call script
 // code (which could mutate the slot through a closure); otherwise it is
 // copied to a temp at its evaluation point. Instructions write their
@@ -32,64 +42,110 @@ const (
 	// rkConst offsets constant-table indices in RK operands: an operand
 	// >= rkConst refers to consts[operand-rkConst], below it to a register.
 	rkConst = 1 << 24
-	// maxVMRegs bounds a frame's register file; pathological (fuzzed)
-	// functions beyond it fall back to the tree-walker.
+	// maxVMRegs bounds a frame's register file.
 	maxVMRegs = 1 << 16
 )
 
-// vmUnsupported marks a proto the compiler bailed on; callVM falls back to
-// the tree-walker for it.
-var vmUnsupported = &vmCode{}
+// maxVMConsts bounds a proto's constant table: every index must fit below
+// the RK operand range. A variable only so tests can reach the limit
+// without a 16M-literal chunk.
+var maxVMConsts = rkConst
 
-// errVMUnsupported is panicked by the compiler on constructs it does not
-// lower (there are none today short of resource limits); compileProto
-// recovers it into the vmUnsupported sentinel.
-var errVMUnsupported = &RuntimeError{Msg: "script: vm compile fell back"}
+// ErrVMLimit is returned, wrapped with the chunk and line, when a function
+// needs more registers or constants than the bytecode can address.
+var ErrVMLimit = errors.New("script: function exceeds the VM's limits")
 
-// forWhat indexes opCheckNum's operand-description strings, matching the
-// tree-walker's evalNumber call sites.
-var forWhat = [...]string{"'for' initial value", "'for' limit", "'for' step"}
+// compileFailure carries an error out of the recursive compiler; only
+// compileProto recovers it.
+type compileFailure struct{ err error }
 
-// protoCode returns the compiled code for p, compiling on first use. Protos
-// are shared read-only across interpreters (ChunkCache), so the cache slot
-// is atomic; a racing double-compile produces identical code.
-func protoCode(p *funcProto) *vmCode {
-	if c := p.vm.Load(); c != nil {
-		return c
-	}
-	c := compileProto(p)
-	p.vm.Store(c)
-	return c
+// fail aborts compilation of the current proto with err, positioned at the
+// construct being lowered.
+func (c *compiler) fail(format string, args ...any) {
+	panic(compileFailure{fmt.Errorf("%s:%d: "+format, append([]any{c.chunk, c.line}, args...)...)})
 }
 
-func compileProto(p *funcProto) (code *vmCode) {
+// forWhat indexes opCheckNum's operand-description strings, matching the
+// reference interpreter's 'for' error texts.
+var forWhat = [...]string{"'for' initial value", "'for' limit", "'for' step"}
+
+// compileProtos lowers p and every function nested in it, caching each
+// proto's code on p.vm. It runs before a chunk is cached or shared, so
+// the protos are read-only by the time any interpreter executes them.
+func compileProtos(p *funcProto) error {
+	code, err := compileProto(p)
+	if err != nil {
+		return err
+	}
+	p.vm = code
+	for _, np := range code.protos {
+		if err := compileProtos(np); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compileProto lowers one proto. Nested protos are referenced, not
+// compiled (see compileProtos).
+func compileProto(p *funcProto) (code vmCode, err error) {
+	c := compilers.Get().(*compiler)
+	defer c.release()
+	c.chunk, c.line = p.chunk, p.line
+	c.free, c.floor, c.maxRegs = p.numSlots, p.numSlots, p.numSlots
 	defer func() {
 		if r := recover(); r != nil {
-			if r == errVMUnsupported { //nolint:errorlint // sentinel identity
-				code = vmUnsupported
-				return
+			f, ok := r.(compileFailure)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			code, err = vmCode{}, f.err
 		}
 	}()
-	c := &compiler{
-		chunk:   p.chunk,
-		constIx: make(map[constKey]int32),
-		nameIx:  make(map[string]int32),
-		free:    p.numSlots,
-		floor:   p.numSlots,
-		maxRegs: p.numSlots,
-	}
 	c.stmts(p.body.stmts)
 	c.emit(opReturnNone, 0, 0, 0, p.line)
-	return &vmCode{
+	return vmCode{
 		chunk:   p.chunk,
-		ins:     c.ins,
-		consts:  c.consts,
-		names:   c.names,
-		protos:  c.protos,
+		ins:     clone(c.ins),
+		consts:  clone(c.consts),
+		names:   clone(c.names),
+		protos:  clone(c.protos),
 		numRegs: c.maxRegs,
+	}, nil
+}
+
+// compilers recycles compiler scratch — the dedup maps and the growing
+// instruction and table buffers — so lowering a proto allocates little
+// more than its exact-size code.
+var compilers = sync.Pool{New: func() any {
+	return &compiler{constIx: make(map[constKey]int32), nameIx: make(map[string]int32)}
+}}
+
+// maxPooledCode bounds the scratch a pooled compiler keeps, so one huge
+// (or limit-breaking) proto does not pin its buffers.
+const maxPooledCode = 1 << 12
+
+// release resets c, dropping its references into the compiled chunk, and
+// returns it to the pool.
+func (c *compiler) release() {
+	if len(c.ins) > maxPooledCode || len(c.consts) > maxPooledCode || len(c.names) > maxPooledCode {
+		return
 	}
+	clear(c.constIx)
+	clear(c.nameIx)
+	clear(c.consts)
+	clear(c.names)
+	clear(c.protos)
+	c.ins, c.consts, c.names, c.protos, c.breaks = c.ins[:0], c.consts[:0], c.names[:0], c.protos[:0], c.breaks[:0]
+	compilers.Put(c)
+}
+
+// clone copies a scratch buffer out at its exact size; empty is nil.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // constKey identifies a literal for constant-table deduplication.
@@ -102,6 +158,7 @@ type constKey struct {
 
 type compiler struct {
 	chunk   string
+	line    int // source line of the construct being lowered, for errors
 	ins     []instr
 	consts  []Value
 	constIx map[constKey]int32
@@ -136,7 +193,7 @@ func (c *compiler) reserve(n int) int {
 	if c.free > c.maxRegs {
 		c.maxRegs = c.free
 		if c.maxRegs > maxVMRegs {
-			panic(errVMUnsupported)
+			c.fail("%w: more than %d registers", ErrVMLimit, maxVMRegs)
 		}
 	}
 	return base
@@ -153,7 +210,7 @@ func (c *compiler) reserveFloor(n int) int {
 	if c.floor > c.maxRegs {
 		c.maxRegs = c.floor
 		if c.maxRegs > maxVMRegs {
-			panic(errVMUnsupported)
+			c.fail("%w: more than %d registers", ErrVMLimit, maxVMRegs)
 		}
 	}
 	return base
@@ -165,8 +222,8 @@ func (c *compiler) constIdx(v Value) int32 {
 		return rkConst + i
 	}
 	i := int32(len(c.consts))
-	if i >= rkConst {
-		panic(errVMUnsupported)
+	if int(i) >= maxVMConsts {
+		c.fail("%w: more than %d constants", ErrVMLimit, maxVMConsts)
 	}
 	c.consts = append(c.consts, v)
 	c.constIx[k] = i
@@ -279,7 +336,8 @@ func (c *compiler) stmts(ss []stmt) {
 
 func (c *compiler) stmt(s stmt) {
 	c.free = c.floor
-	c.emit(opStep, 0, 0, 0, s.nodeLine())
+	c.line = s.nodeLine()
+	c.emit(opStep, 0, 0, 0, c.line)
 	switch st := s.(type) {
 	case *blockStmt:
 		c.stmts(st.stmts)
@@ -328,7 +386,7 @@ func (c *compiler) stmt(s stmt) {
 			c.breaks[len(c.breaks)-1] = append(c.breaks[len(c.breaks)-1], j)
 		}
 	default:
-		panic(errVMUnsupported)
+		c.fail("script: cannot compile %T", s)
 	}
 }
 
@@ -397,13 +455,13 @@ func (c *compiler) assignTo(target expr, src int) {
 	case *indexExpr:
 		save := c.free
 		obj := c.regOperand(t.obj, hasCall(t.key))
-		// The tree-walker validates the object before evaluating the key.
+		// The object is validated before the key is evaluated.
 		c.emit(opCheckTable, obj, 0, 0, t.line)
 		key := c.operand(t.key, false)
 		c.emit(opSetIndex, obj, key, src, t.line)
 		c.free = save
 	default:
-		panic(errVMUnsupported)
+		c.fail("script: cannot assign to %T", target)
 	}
 }
 
@@ -648,14 +706,14 @@ func (c *compiler) exprTo(e expr, dst int) {
 		case tokHash:
 			op = opLen
 		default:
-			panic(errVMUnsupported)
+			c.fail("script: cannot compile operator %s", ex.op)
 		}
 		c.emit(op, dst, v, 0, ex.line)
 		c.free = save
 	case *binExpr:
 		c.binTo(ex, dst)
 	default:
-		panic(errVMUnsupported)
+		c.fail("script: cannot compile %T", e)
 	}
 }
 
@@ -710,7 +768,7 @@ func (c *compiler) binTo(ex *binExpr, dst int) {
 	case tokGe:
 		op = opGe
 	default:
-		panic(errVMUnsupported)
+		c.fail("script: cannot compile operator %s", ex.op)
 	}
 	save := c.free
 	lhs := c.operand(ex.lhs, hasCall(ex.rhs))
@@ -798,7 +856,7 @@ func (c *compiler) callInto(e expr, want int) int {
 	case *methodCallExpr:
 		method, objE, mname, args, line = true, ex.obj, ex.name, ex.args, ex.line
 	default:
-		panic(errVMUnsupported)
+		c.fail("script: cannot compile %T", e)
 	}
 	if len(args) == 0 || !isMultiExpr(args[len(args)-1]) {
 		nf := 1

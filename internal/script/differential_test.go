@@ -529,18 +529,16 @@ func renderValue(v Value, depth int) string {
 	return sb.String()
 }
 
-// runDiffCase evaluates a corpus case on the tree-walking reference engine;
-// the golden file is always generated from it. runDiffCaseEngine runs the
-// same case on an explicit engine so the verification loop can hold both
-// engines to one golden line.
+// runDiffCase evaluates a corpus case on the tree-walking reference
+// interpreter; the golden file is always generated from it.
+// runDiffCaseEngine runs the same case on an explicit engine so the
+// verification loop can hold the VM and the reference to one golden line.
 func runDiffCase(c diffCase) string {
-	return runDiffCaseEngine(c, EngineTreeWalk)
+	return runDiffCaseEngine(c, engineTreeWalk)
 }
 
-func runDiffCaseEngine(c diffCase, e Engine) string {
-	opts := c.opts
-	opts.Engine = e
-	in := New(opts)
+func runDiffCaseEngine(c diffCase, e engine) string {
+	in := e.new(c.opts)
 	if c.setup != nil {
 		c.setup(in)
 	}
@@ -588,7 +586,7 @@ func TestDifferentialCorpus(t *testing.T) {
 			t.Errorf("case %q missing from golden file (run -update-golden after reviewing)", c.name)
 			continue
 		}
-		for _, eng := range []Engine{EngineTreeWalk, EngineVM} {
+		for _, eng := range []engine{engineTreeWalk, engineVM} {
 			if got := runDiffCaseEngine(c, eng); got != wantLine {
 				t.Errorf("case %q (engine %s) diverged from pre-resolver semantics:\n  got  %s\n  want %s",
 					c.name, eng, got, wantLine)

@@ -142,14 +142,13 @@ func FuzzVMDiff(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		run := func(e Engine) (string, string, error) {
+		run := func(e engine) (string, string, error) {
 			var buf bytes.Buffer
-			in := New(Options{
+			in := e.new(Options{
 				MaxSteps:  20_000,
 				MemBudget: 1 << 20,
 				CacheSize: -1,
 				Stdout:    &buf,
-				Engine:    e,
 			})
 			fn, err := in.Compile("fuzz", src)
 			if err != nil {
@@ -158,8 +157,8 @@ func FuzzVMDiff(f *testing.F) {
 			vs, callErr := in.Call(fn, []Value{Number(1), String("arg")})
 			return fuzzRenderResult(vs, callErr), fuzzPtr.ReplaceAllString(buf.String(), "0xPTR"), nil
 		}
-		vmRes, vmOut, vmCompileErr := run(EngineVM)
-		twRes, twOut, twCompileErr := run(EngineTreeWalk)
+		vmRes, vmOut, vmCompileErr := run(engineVM)
+		twRes, twOut, twCompileErr := run(engineTreeWalk)
 		// Compilation is engine-independent (shared lex/parse/resolve), so a
 		// compile error on one side must appear on the other verbatim.
 		if (vmCompileErr == nil) != (twCompileErr == nil) {

@@ -109,12 +109,17 @@ type SyntaxError struct {
 	Chunk string
 	Line  int
 	Msg   string
+	// Err is the classifiable cause, if any (ErrTooDeep).
+	Err error
 }
 
 // Error implements error.
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("%s:%d: %s", e.Chunk, e.Line, e.Msg)
 }
+
+// Unwrap returns the cause, so errors.Is(err, ErrTooDeep) works.
+func (e *SyntaxError) Unwrap() error { return e.Err }
 
 type lexer struct {
 	chunk string
@@ -338,6 +343,14 @@ func (l *lexer) scanNumber(line int) (token, error) {
 
 func (l *lexer) scanString(line int, quote byte) (token, error) {
 	l.advance() // opening quote
+	// Fast path: a literal without escapes is a slice of the source.
+	for i := l.pos; i < len(l.src) && l.src[i] != '\\' && l.src[i] != '\n'; i++ {
+		if l.src[i] == quote {
+			text := l.src[l.pos:i]
+			l.pos = i + 1
+			return token{typ: tokString, text: text, line: line}, nil
+		}
+	}
 	var sb strings.Builder
 	for {
 		if l.pos >= len(l.src) {

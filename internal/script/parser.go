@@ -1,6 +1,24 @@
 package script
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// maxNesting bounds how deeply a chunk nests: blocks, expressions inside
+// expressions (table constructors, parentheses, unary operators, call
+// arguments, function bodies) and the height of operator and call/index
+// chains. Every compile stage recurses over the tree, and a goroutine
+// stack overflow is fatal, not recoverable — so one hostile shipped script
+// could kill its host. The parser counts its own recursion plus the length
+// of the chain it is building, which rejects megabyte-deep input after a
+// thousand tokens; the resolver then checks the finished tree's height,
+// which also covers chains wrapped around nested subtrees.
+const maxNesting = 1000
+
+// ErrTooDeep is returned, wrapped in a *SyntaxError, for a chunk that nests
+// deeper than maxNesting.
+var ErrTooDeep = errors.New("script: nesting exceeds depth limit")
 
 // parser builds an AST from tokens using recursive descent with standard
 // Lua operator precedences.
@@ -9,6 +27,7 @@ type parser struct {
 	lex   *lexer
 	tok   token // current token
 	ahead *token
+	depth int // blocks and expressions being parsed (see maxNesting)
 }
 
 // parseChunk compiles source text into a block.
@@ -29,6 +48,23 @@ func parseChunk(chunkName, src string) (*blockStmt, error) {
 
 func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Chunk: p.chunk, Line: p.tok.line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// enter descends one nesting level; the caller defers p.leave.
+func (p *parser) enter() error {
+	p.depth++
+	return p.checkDepth(0)
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// checkDepth fails once the current depth plus a chain of n nodes being
+// built at this level exceeds maxNesting.
+func (p *parser) checkDepth(n int) error {
+	if p.depth+n > maxNesting {
+		return &SyntaxError{Chunk: p.chunk, Line: p.tok.line, Msg: ErrTooDeep.Error(), Err: ErrTooDeep}
+	}
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -82,6 +118,10 @@ func (p *parser) blockEnd() bool {
 }
 
 func (p *parser) block() (*blockStmt, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	b := &blockStmt{base: base{p.tok.line}}
 	for !p.blockEnd() {
 		if ok, err := p.accept(tokSemi); err != nil {
@@ -522,6 +562,10 @@ const unaryPrec = 12
 func (p *parser) expression() (expr, error) { return p.binExpr(0) }
 
 func (p *parser) binExpr(limit int) (expr, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	var lhs expr
 	var err error
 	line := p.tok.line
@@ -542,10 +586,13 @@ func (p *parser) binExpr(limit int) (expr, error) {
 			return nil, err
 		}
 	}
-	for {
+	for n := 1; ; n++ {
 		prec, ok := binPrec[p.tok.typ]
 		if !ok || prec[0] <= limit {
 			return lhs, nil
+		}
+		if err := p.checkDepth(n); err != nil {
+			return nil, err
 		}
 		op := p.tok.typ
 		opLine := p.tok.line
@@ -620,7 +667,10 @@ func (p *parser) suffixedExpr() (expr, error) {
 	default:
 		return nil, p.errf("unexpected %s", p.tok.typ)
 	}
-	for {
+	for n := 0; ; n++ {
+		if err := p.checkDepth(n); err != nil {
+			return nil, err
+		}
 		switch p.tok.typ {
 		case tokDot:
 			if err := p.advance(); err != nil {

@@ -36,6 +36,7 @@ type funcState struct {
 type resolver struct {
 	chunk string
 	fs    *funcState
+	depth int // statements and expressions being resolved (see maxNesting)
 }
 
 // resolveChunk resolves a parsed chunk into its top-level proto. The chunk
@@ -63,6 +64,17 @@ func resolveChunk(chunkName string, block *blockStmt) (proto *funcProto, err err
 func (r *resolver) errf(line int, msg string) {
 	panic(&SyntaxError{Chunk: r.chunk, Line: line, Msg: msg})
 }
+
+// enter descends one level of the tree, failing with ErrTooDeep past
+// maxNesting; the caller defers r.leave.
+func (r *resolver) enter(line int) {
+	r.depth++
+	if r.depth > maxNesting {
+		panic(&SyntaxError{Chunk: r.chunk, Line: line, Msg: ErrTooDeep.Error(), Err: ErrTooDeep})
+	}
+}
+
+func (r *resolver) leave() { r.depth-- }
 
 func (r *resolver) beginFunc(p *funcProto) {
 	r.fs = &funcState{enclosing: r.fs, proto: p}
@@ -175,6 +187,8 @@ func (r *resolver) stmts(ss []stmt) {
 }
 
 func (r *resolver) stmt(s stmt) {
+	defer r.leave()
+	r.enter(s.nodeLine())
 	switch st := s.(type) {
 	case *blockStmt:
 		r.block(st)
@@ -279,6 +293,8 @@ func (r *resolver) funcLiteral(fe *funcExpr) {
 
 // expr resolves e and returns its (possibly constant-folded) replacement.
 func (r *resolver) expr(e expr) expr {
+	defer r.leave()
+	r.enter(e.nodeLine())
 	switch ex := e.(type) {
 	case *nilExpr, *boolExpr, *numberExpr, *stringExpr:
 		return e
@@ -354,21 +370,6 @@ func literalValue(e expr) (Value, bool) {
 func isLiteral(e expr) bool {
 	_, ok := literalValue(e)
 	return ok
-}
-
-// valueExpr re-wraps a folded Value as a literal node at line.
-func valueExpr(v Value, line int) expr {
-	b := base{line: line}
-	switch v.Kind() {
-	case KindNil:
-		return &nilExpr{base: b}
-	case KindBool:
-		return &boolExpr{base: b, val: v.b}
-	case KindNumber:
-		return &numberExpr{base: b, val: v.n}
-	default:
-		return &stringExpr{base: b, val: v.s}
-	}
 }
 
 func foldUnary(ex *unExpr) expr {

@@ -11,12 +11,13 @@
 // multiple return values, and a sandboxed global environment into which the
 // host injects primitives.
 //
-// The interpreter is a tree walker with a per-call step budget so that code
-// received from remote, semi-trusted peers cannot spin a monitor forever.
-// Compilation runs parse → resolve (resolve.go turns every variable
-// reference into an integer slot, box or upvalue index and folds constant
-// subexpressions) → a content-addressed chunk cache (cache.go), so sources
-// that arrive repeatedly over the wire compile once.
+// The interpreter is a register bytecode VM with a per-call step budget so
+// that code received from remote, semi-trusted peers cannot spin a monitor
+// forever. Compilation runs parse → resolve (resolve.go turns every
+// variable reference into an integer slot, box or upvalue index and folds
+// constant subexpressions) → bytecode (compile.go) → a content-addressed
+// chunk cache (cache.go), so sources that arrive repeatedly over the wire
+// compile once.
 //
 // # Concurrency
 //
@@ -109,8 +110,8 @@ func (c *Closure) Name() string {
 
 // Value is a dynamically typed script value. The zero Value is nil.
 //
-// The layout is deliberately tight (64 bytes): the tree walker passes and
-// copies Values on every expression, so the rare object-reference payload
+// The layout is deliberately tight (64 bytes): the VM copies Values
+// between registers on every instruction, so the rare object-reference payload
 // lives behind a pointer instead of inlining wire.ObjRef's two strings.
 type Value struct {
 	n    float64

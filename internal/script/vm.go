@@ -10,13 +10,14 @@ import (
 // loop is a single switch inside a pc loop; Go compiles it to a jump table.
 //
 // Semantics contract: this engine is observationally identical to the
-// tree-walker — same values, same error strings with the same source
+// tree-walking reference interpreter the tests keep as its oracle
+// (treewalk_test.go) — same values, same error strings with the same source
 // positions, same step/wall/memory budget charges at the same program
 // points, same evaluation order and side-effect order. TestDifferentialCorpus
-// runs the full golden corpus on both engines and FuzzVMDiff cross-checks
+// runs the full golden corpus on both and FuzzVMDiff cross-checks
 // arbitrary chunks, so any divergence is a bug here or in compile.go.
 //
-// Budget placement mirrors the tree-walker exactly: opStep at statement
+// Budget placement mirrors the reference exactly: opStep at statement
 // entries and loop heads increments the shared step counter, checks the
 // step budget, and every budgetCheckInterval steps consults the
 // context/wall-clock deadline (the amortized 1/1024 interrupt poll).
@@ -59,13 +60,13 @@ const (
 	opGt     // regs[a] = rk(b) > rk(c)
 	opGe     // regs[a] = rk(b) >= rk(c)
 
-	opGetIndex   // regs[a] = regs[b][rk(c)]
-	opCheckTable // error unless regs[a] is a table (assignment target)
-	opSetIndex   // regs[a][rk(b)] = rk(c), charges memEntryCost
-	opNewTable   // regs[a] = {}, charges memTableCost + b*memEntryCost upfront
-	opAppend     // regs[a]:append(rk(b)), no charge (prepaid by opNewTable)
+	opGetIndex      // regs[a] = regs[b][rk(c)]
+	opCheckTable    // error unless regs[a] is a table (assignment target)
+	opSetIndex      // regs[a][rk(b)] = rk(c), charges memEntryCost
+	opNewTable      // regs[a] = {}, charges memTableCost + b*memEntryCost upfront
+	opAppend        // regs[a]:append(rk(b)), no charge (prepaid by opNewTable)
 	opAppendScratch // pop mark; charge and append scratch values to regs[a]
-	opTabSet     // regs[a][rk(b)] = rk(c) in a constructor, no charge
+	opTabSet        // regs[a][rk(b)] = rk(c) in a constructor, no charge
 
 	opJmp      // pc = a
 	opJmpIf    // if regs[a] truthy then pc = b
@@ -176,15 +177,7 @@ func vmWrapCallErr(chunk string, line int32, err error) error {
 // stack so no per-call result slice is allocated.
 func (in *Interp) callVM(cl *Closure, args []Value, depth int, out *[]Value) error {
 	p := cl.proto
-	code := protoCode(p)
-	if code == vmUnsupported {
-		vs, err := in.callClosureTree(cl, args, depth)
-		if err != nil {
-			return err
-		}
-		*out = append(*out, vs...)
-		return nil
-	}
+	code := &p.vm
 	// Frame storage is charged with the tree-walker's model numbers
 	// (slots+boxes, not the VM's register count) so memory-budget trips
 	// are bit-identical across engines.
@@ -233,8 +226,8 @@ func (in *Interp) callVM(cl *Closure, args []Value, depth int, out *[]Value) err
 //
 // Script callees receive args as-is — a borrowed register window or scratch
 // segment; they copy params into their own frame before the caller resumes.
-// GoFunc callees get a leaked pooled copy because builtins such as assert()
-// retain their argument slice — exactly the tree-walker's buffer discipline.
+// GoFunc callees get their own copy because builtins such as assert()
+// retain their argument slice.
 func (in *Interp) vmDoCall(fr *vmFrame, fn Value, args []Value, regs []Value, dst, want, depth int, out *[]Value) ([]Value, error) {
 	if depth+1 > maxCallDepth {
 		return nil, &RuntimeError{Msg: "call stack overflow"}
@@ -263,10 +256,7 @@ func (in *Interp) vmDoCall(fr *vmFrame, fn Value, args []Value, regs []Value, ds
 		fr.scratch = fr.scratch[:m]
 		return nil, nil
 	case fn.gf != nil:
-		buf := getValueBuf()
-		gargs := append(buf.vs[:0], args...)
-		buf.vs = gargs
-		rets, err := fn.gf.Fn(in, gargs)
+		rets, err := fn.gf.Fn(in, append([]Value(nil), args...))
 		if err != nil {
 			return nil, err
 		}

@@ -61,11 +61,11 @@ func TestAllocGuardAppendReply(t *testing.T) {
 
 func TestAllocGuardDecodeMessage(t *testing.T) {
 	req := &Request{ID: 7, ObjectKey: "echo", Operation: "do", Args: []Value{Int(42)}, Deadline: 1}
-	encReq, err := EncodeRequest(req, false)
+	encReq, err := AppendRequest(nil, req, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encRep, err := EncodeReply(&Reply{ID: 7, Results: []Value{Int(42)}})
+	encRep, err := AppendReply(nil, &Reply{ID: 7, Results: []Value{Int(42)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -249,60 +248,4 @@ func (d *Decoder) uvarint() (uint64, error) {
 	}
 	d.pos += n
 	return v, nil
-}
-
-// DecodeValue decodes a single value from buf, requiring that buf contain
-// exactly one value.
-func DecodeValue(buf []byte) (Value, error) {
-	d := NewDecoder(buf)
-	v, err := d.Value()
-	if err != nil {
-		return Nil(), err
-	}
-	if d.Remaining() != 0 {
-		return Nil(), fmt.Errorf("wire: %d trailing bytes after value", d.Remaining())
-	}
-	return v, nil
-}
-
-// EncodeValue encodes a single value into a fresh buffer.
-func EncodeValue(v Value) ([]byte, error) {
-	return AppendValue(nil, v)
-}
-
-// WriteFrame writes a length-prefixed frame containing payload to w. The
-// header and payload go out in a single Write, so a frame is one syscall
-// and cannot be torn in half by a mid-frame write deadline. Callers on hot
-// paths avoid the payload copy by encoding straight into a FrameBuffer and
-// calling its WriteFrame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	fb := GetFrameBuffer()
-	fb.B = append(fb.B, payload...)
-	err := fb.WriteFrame(w)
-	PutFrameBuffer(fb)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r, rejecting frames larger
-// than MaxFrameSize.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	return buf, nil
 }

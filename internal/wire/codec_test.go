@@ -12,9 +12,9 @@ import (
 
 func mustEncode(t *testing.T, v Value) []byte {
 	t.Helper()
-	b, err := EncodeValue(v)
+	b, err := AppendValue(nil, v)
 	if err != nil {
-		t.Fatalf("EncodeValue(%v): %v", v, err)
+		t.Fatalf("AppendValue(nil, %v): %v", v, err)
 	}
 	return b
 }
@@ -87,8 +87,8 @@ func TestCodecDepthLimit(t *testing.T) {
 		outer.Append(v)
 		v = TableVal(outer)
 	}
-	if _, err := EncodeValue(v); !errors.Is(err, ErrTooDeep) {
-		t.Fatalf("EncodeValue(deep) err = %v, want ErrTooDeep", err)
+	if _, err := AppendValue(nil, v); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("AppendValue(nil, deep) err = %v, want ErrTooDeep", err)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 		},
 	}
 	prop := func(v Value) bool {
-		b, err := EncodeValue(v)
+		b, err := AppendValue(nil, v)
 		if err != nil {
 			return false
 		}
@@ -197,8 +197,8 @@ func TestPropertyEncodingDeterministic(t *testing.T) {
 		},
 	}
 	prop := func(v Value) bool {
-		b1, err1 := EncodeValue(v)
-		b2, err2 := EncodeValue(v)
+		b1, err1 := AppendValue(nil, v)
+		b2, err2 := AppendValue(nil, v)
 		return err1 == nil && err2 == nil && bytes.Equal(b1, b2)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -212,7 +212,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := NewFrameReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := WriteFrame(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := NewFrameReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFrameSizeLimit(t *testing.T) {
 	var hdr bytes.Buffer
 	// Claim a frame larger than MaxFrameSize.
 	hdr.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&hdr); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrameReader(&hdr).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 	big := make([]byte, MaxFrameSize+1)
@@ -251,7 +251,7 @@ func TestFrameSizeLimit(t *testing.T) {
 func TestFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 10, 'a', 'b'}) // claims 10 bytes, has 2
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrTruncated) {
+	if _, err := NewFrameReader(&buf).Next(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Args:      []Value{String("Increasing"), Int(5)},
 		Deadline:  1234567890123456789,
 	}
-	payload, err := EncodeRequest(req, false)
+	payload, err := AppendRequest(nil, req, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestOnewayRoundTrip(t *testing.T) {
 	req := &Request{ObjectKey: "observer-1", Operation: "notifyEvent", Args: []Value{String("LoadIncrease")}}
-	payload, err := EncodeRequest(req, true)
+	payload, err := AppendRequest(nil, req, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestOnewayRoundTrip(t *testing.T) {
 
 func TestReplyRoundTrip(t *testing.T) {
 	rep := &Reply{ID: 7, Results: []Value{Bool(true), NilOrTable()}}
-	payload, err := EncodeReply(rep)
+	payload, err := AppendReply(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func NilOrTable() Value {
 
 func TestErrorReplyRoundTrip(t *testing.T) {
 	rep := &Reply{ID: 9, Err: "no such operation", ErrCode: "BAD_OPERATION"}
-	payload, err := EncodeReply(rep)
+	payload, err := AppendReply(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func BenchmarkEncodeSmallRequest(b *testing.B) {
 	req := &Request{ID: 1, ObjectKey: "obj", Operation: "hello", Args: []Value{Int(1), String("x")}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeRequest(req, false); err != nil {
+		if _, err := AppendRequest(nil, req, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func BenchmarkEncodeSmallRequest(b *testing.B) {
 
 func BenchmarkDecodeSmallRequest(b *testing.B) {
 	req := &Request{ID: 1, ObjectKey: "obj", Operation: "hello", Args: []Value{Int(1), String("x")}}
-	payload, err := EncodeRequest(req, false)
+	payload, err := AppendRequest(nil, req, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -74,12 +74,6 @@ type Reply struct {
 	ErrCode string // machine-matchable error code (see orb package)
 }
 
-// EncodeRequest encodes a request (or oneway, if oneway is true) into a
-// fresh frame payload. Hot paths use AppendRequest with a pooled buffer.
-func EncodeRequest(req *Request, oneway bool) ([]byte, error) {
-	return AppendRequest(nil, req, oneway)
-}
-
 // AppendRequest appends the encoding of a request (or oneway, if oneway is
 // true) to dst and returns the extended slice.
 func AppendRequest(dst []byte, req *Request, oneway bool) ([]byte, error) {
@@ -101,12 +95,6 @@ func AppendRequest(dst []byte, req *Request, oneway bool) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// EncodeReply encodes a reply into a fresh frame payload. Hot paths use
-// AppendReply with a pooled buffer.
-func EncodeReply(rep *Reply) ([]byte, error) {
-	return AppendReply(nil, rep)
 }
 
 // AppendReply appends the encoding of a reply to dst and returns the

@@ -29,10 +29,10 @@ func seedMessages(t testingT) [][]byte {
 		}
 		seeds = append(seeds, b)
 	}
-	add(EncodeRequest(&Request{ID: 7, ObjectKey: "svc", Operation: "work", Args: args, Deadline: 1 << 40}, false))
-	add(EncodeRequest(&Request{ID: 8, ObjectKey: "svc", Operation: "fire", Args: args[:1]}, true))
-	add(EncodeReply(&Reply{ID: 7, Results: args}))
-	add(EncodeReply(&Reply{ID: 7, Err: "server overloaded", ErrCode: StatusOverloaded}))
+	add(AppendRequest(nil, &Request{ID: 7, ObjectKey: "svc", Operation: "work", Args: args, Deadline: 1 << 40}, false))
+	add(AppendRequest(nil, &Request{ID: 8, ObjectKey: "svc", Operation: "fire", Args: args[:1]}, true))
+	add(AppendReply(nil, &Reply{ID: 7, Results: args}))
+	add(AppendReply(nil, &Reply{ID: 7, Err: "server overloaded", ErrCode: StatusOverloaded}))
 	add(AppendSubscribe(nil, &Subscribe{ID: 9, SubID: 3, ObjectKey: "svc", Topic: "load", Args: args[:2]}))
 	seeds = append(seeds, AppendUnsubscribe(nil, 3))
 	add(AppendEvent(nil, &Event{SubID: 3, Values: args[:3]}))
@@ -148,9 +148,9 @@ func TestOverloadedReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameReaderOversizedClaim covers the buffered reader's size check
-// (codec_test.go covers the unbuffered ReadFrame): a header claiming more
-// than MaxFrameSize must be refused before any body is read or allocated.
+// TestFrameReaderOversizedClaim covers the frame reader's size check: a
+// header claiming more than MaxFrameSize must be refused before any body
+// is read or allocated.
 func TestFrameReaderOversizedClaim(t *testing.T) {
 	var stream bytes.Buffer
 	stream.Write([]byte{0xff, 0xff, 0xff, 0xff})

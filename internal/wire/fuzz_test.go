@@ -98,7 +98,7 @@ func mustEncodeFuzz(t *testing.T) []byte {
 	tb.SetString("ref", Ref(ObjRef{Endpoint: "tcp|h:1", Key: "k"}))
 	inner := NewList(Bool(true), Bytes([]byte{1, 2, 3}))
 	tb.SetString("inner", TableVal(inner))
-	b, err := EncodeValue(TableVal(tb))
+	b, err := AppendValue(nil, TableVal(tb))
 	if err != nil {
 		t.Fatal(err)
 	}
